@@ -28,11 +28,12 @@ import os
 import re
 import sys
 
-from .csf import compute_csf, extract_coefficient
+from .csf import ROUTES, compute_csf, extract_coefficient
 from .errors import TooLarge
 from .graphs import parse_graph_spec
 from .partitions import parse_partition
 from .positivity import (
+    DEFAULT_CONJECTURE_CAP,
     NO,
     UNKNOWN,
     check_conjecture,
@@ -51,7 +52,7 @@ EXIT_CAPPED = 3
 
 _RANGE = re.compile(r"^([A-Za-z]\w*)=(-?\d+)\.\.(-?\d+)$")
 
-_ROUTE_CHOICES = ("auto", "stable-m", "edge-p", "family-recurrence")
+_ROUTE_CHOICES = ("auto",) + ROUTES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,14 +358,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    kwargs = {}
-    if args.limit is not None:
-        kwargs["limit"] = args.limit
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    elif os.environ.get("CSLAB_CAP") is not None:
-        kwargs["cap"] = int(os.environ["CSLAB_CAP"])
-    check = check_conjecture(args.conjecture_id, **kwargs)
+    check = check_conjecture(
+        args.conjecture_id, limit=args.limit, cap=_cap_or(args, DEFAULT_CONJECTURE_CAP)
+    )
     _print_json({
         "conjecture": check.conjecture,
         "consistent": check.consistent,

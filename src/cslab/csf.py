@@ -1,7 +1,7 @@
 """Chromatic symmetric functions of graphs, by independent routes.
 
 The CSF of a graph G sums x_{c(v_1)} ... x_{c(v_n)} over all proper
-colorings c; it is homogeneous of degree n.  This module computes it four
+colorings c; it is homogeneous of degree n.  This module computes it three
 ways, which deliberately share no code path:
 
 - stable-m: sum over stable-partition types, a_lam times the multiplicity
@@ -9,11 +9,14 @@ ways, which deliberately share no code path:
 - edge-p: signed sum over edge subsets of the power sum indexed by the
   component sizes;
 - family-recurrence: closed recurrences in the elementary basis for paths,
-  three-leg spiders, and two specific broom shapes, which stay sparse far
-  beyond where full expansions are feasible;
-- triple-deletion: rewriting along the two identities that relate the CSFs
-  obtained by adding subsets of a triangle on three pairwise nonadjacent
-  vertices.
+  three-leg spiders, and the two-leaf odd double brooms, which stay sparse
+  far beyond where full expansions are feasible.
+
+``compute_csf`` is the one place that chooses and runs a route; the
+generic routes are memoised per graph there, so every question asked of
+the same graph shares one expansion.  Triple deletion is not a route: it
+rewrites a CSF along the identities relating the graphs obtained by adding
+subsets of a triangle, and the verify suite checks it against the routes.
 
 Route agreement is the core correctness check: the verify suites and tests
 confirm all applicable routes give identical values after conversion to
@@ -38,7 +41,7 @@ from .graphs import (
 from .partitions import Partition, sort_to_partition
 from .symfunc import Coeff, SymFunc, change_basis
 
-ROUTES = ("stable-m", "edge-p", "triple-deletion", "family-recurrence")
+ROUTES = ("stable-m", "edge-p", "family-recurrence")
 
 
 @dataclass(frozen=True)
@@ -177,68 +180,29 @@ def spider_csf(a: int, b: int, c: int) -> SymFunc:
     return total
 
 
-BROOM_KINDS = ("pendant_spider", "odd_broom", "odd_double_broom")
+def broom_csf(middle: int) -> SymFunc:
+    """Elementary-basis CSF of the double broom br'(2, middle, 2) with odd
+    middle 2p-1, by the one-step edge-addition identity
 
+        e_1 X(br(2p, 2)) + X(br(2p+1, 2)) - 2 e_2 X(br(2p-1, 2)),
 
-def broom_csf(kind: str, *params: int) -> SymFunc:
-    """Elementary-basis CSF of three pendant-tree families by one-step
-    edge-addition identities.
-
-    - "pendant_spider" (a, b): the spider S(a, b, 1), via
-      e_1 X(P_{N-1}) + X(P_N) - X(P_{a+1}) X(P_{b+1}) with N = a+b+2.
-    - "odd_broom" (handle,): the broom br(handle, 2) with odd handle
-      2a-1, via e_1 X(P_{2a+1}) + X(P_{2a+2}) - 2 e_2 X(P_{2a}).
-    - "odd_double_broom" (middle,): the double broom br'(2, middle, 2)
-      with odd middle 2p-1, via
-      e_1 X(br(2p, 2)) + X(br(2p+1, 2)) - 2 e_2 X(br(2p-1, 2)),
-      where each two-leaf broom is the spider S(h, 1, 1).
+    where each two-leaf broom is the spider S(h, 1, 1).
     """
-    if kind == "pendant_spider":
-        if len(params) != 2:
-            raise BadSpec("pendant_spider takes (a, b)")
-        a, b = params
-        if not (a >= b >= 1):
-            raise BadSpec(f"pendant_spider needs a >= b >= 1, got ({a}, {b})")
-        N = a + b + 2
-        return (
-            _e_single(1) * path_csf_e(N - 1)
-            + path_csf_e(N)
-            - path_csf_e(a + 1) * path_csf_e(b + 1)
-        )
-    if kind == "odd_broom":
-        if len(params) != 1:
-            raise BadSpec("odd_broom takes (handle,)")
-        (handle,) = params
-        if handle < 1 or handle % 2 == 0:
-            raise BadSpec(f"odd_broom needs an odd positive handle, got {handle}")
-        a = (handle + 1) // 2
-        return (
-            _e_single(1) * path_csf_e(2 * a + 1)
-            + path_csf_e(2 * a + 2)
-            - (_e_single(2) * path_csf_e(2 * a)).scale(2)
-        )
-    if kind == "odd_double_broom":
-        if len(params) != 1:
-            raise BadSpec("odd_double_broom takes (middle,)")
-        (middle,) = params
-        if middle < 1 or middle % 2 == 0:
-            raise BadSpec(
-                f"odd_double_broom needs an odd positive middle, got {middle}"
-            )
-        p = (middle + 1) // 2
+    if middle < 1 or middle % 2 == 0:
+        raise BadSpec(f"broom_csf needs an odd positive middle, got {middle}")
+    p = (middle + 1) // 2
 
-        def two_leaf_broom(handle: int) -> SymFunc:
-            if handle == 0:
-                # br(0, 2) degenerates to the 3-vertex path.
-                return path_csf_e(3)
-            return spider_csf(handle, 1, 1)
+    def two_leaf_broom(handle: int) -> SymFunc:
+        if handle == 0:
+            # br(0, 2) degenerates to the 3-vertex path.
+            return path_csf_e(3)
+        return spider_csf(handle, 1, 1)
 
-        return (
-            _e_single(1) * two_leaf_broom(2 * p)
-            + two_leaf_broom(2 * p + 1)
-            - (_e_single(2) * two_leaf_broom(2 * p - 1)).scale(2)
-        )
-    raise BadSpec(f"unknown broom kind {kind!r}; expected one of {BROOM_KINDS}")
+    return (
+        _e_single(1) * two_leaf_broom(2 * p)
+        + two_leaf_broom(2 * p + 1)
+        - (_e_single(2) * two_leaf_broom(2 * p - 1)).scale(2)
+    )
 
 
 # -- triple deletion ----------------------------------------------------------
@@ -373,11 +337,22 @@ def _family_route(G: Graph) -> SymFunc:
     if shape is not None:
         left, middle, right = shape
         if left == 2 and right == 2 and middle % 2 == 1:
-            return broom_csf("odd_double_broom", middle)
+            return broom_csf(middle)
     raise BadSpec(
         "no family recurrence applies: need a path, a three-leg spider, or "
         "a double broom with two leaves per side and an odd middle"
     )
+
+
+@lru_cache(maxsize=128)
+def _generic_csf(G: Graph, route: str) -> SymFunc:
+    """The stable-m or edge-p expansion of G, memoised so that every later
+    question about the same graph reuses it.  Family recurrences are not
+    memoised here: their term count grows with the number of partitions of
+    n, and their building blocks already sit in the ``path_csf_e`` memo."""
+    if route == "stable-m":
+        return csf_via_stable_partitions(G)
+    return csf_via_edge_subsets(G)
 
 
 def compute_csf(G: Graph, route: str = "auto") -> CsfResult:
@@ -387,25 +362,24 @@ def compute_csf(G: Graph, route: str = "auto") -> CsfResult:
     then the stable-partition route up to 12 vertices, then the edge-subset
     route up to 24 edges.
     """
-    if route == "stable-m":
-        return CsfResult(G, "stable-m", csf_via_stable_partitions(G))
-    if route == "edge-p":
-        return CsfResult(G, "edge-p", csf_via_edge_subsets(G))
+    choices = ("auto",) + ROUTES
+    if route not in choices:
+        raise BadSpec(f"unknown route {route!r}; expected one of {choices}")
+    if route == "auto":
+        try:
+            return CsfResult(G, "family-recurrence", _family_route(G))
+        except BadSpec:
+            pass
+        if G.n <= 12:
+            route = "stable-m"
+        elif G.edge_count <= 24:
+            route = "edge-p"
+        else:
+            raise TooLarge(
+                f"no route can handle {G.n} vertices / {G.edge_count} edges exactly"
+            )
     if route == "family-recurrence":
-        return CsfResult(G, "family-recurrence", _family_route(G))
-    if route != "auto":
-        raise BadSpec(
-            f"unknown route {route!r}; expected one of "
-            f"{('auto', 'stable-m', 'edge-p', 'family-recurrence')}"
-        )
-    try:
-        return CsfResult(G, "family-recurrence", _family_route(G))
-    except BadSpec:
-        pass
-    if G.n <= 12:
-        return CsfResult(G, "stable-m", csf_via_stable_partitions(G))
-    if G.edge_count <= 24:
-        return CsfResult(G, "edge-p", csf_via_edge_subsets(G))
-    raise TooLarge(
-        f"no route can handle {G.n} vertices / {G.edge_count} edges exactly"
-    )
+        return CsfResult(G, route, _family_route(G))
+    # The memo key ignores the graph's label (Graph equality does), so the
+    # result wraps the caller's graph, not the one first cached.
+    return CsfResult(G, route, _generic_csf(G, route))

@@ -691,34 +691,3 @@ def _chromatic_value(n: int, edges: tuple, k: int) -> int:
     contracted = _relabel(survivors, merged)
     return _chromatic_value(n, deleted, k) - _chromatic_value(n - 1, contracted, k)
 
-
-def independence_number(G: Graph) -> int:
-    """Maximum size of a stable set, by branch and bound on bitmasks."""
-    if G.n > 24:
-        raise TooLarge(f"independence number is capped at 24 vertices, got {G.n}")
-    masks = _adjacency_masks(G)
-    best = 0
-
-    def branch(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if not candidates:
-            best = size
-            return
-        scan = candidates
-        pick, pick_degree = -1, -1
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            v = bit.bit_length() - 1
-            d = (masks[v] & candidates).bit_count()
-            if d > pick_degree:
-                pick, pick_degree = v, d
-        pick_bit = 1 << pick
-        branch(candidates & ~(masks[pick] | pick_bit), size + 1)
-        if pick_degree > 0:
-            branch(candidates ^ pick_bit, size)
-
-    branch((1 << G.n) - 1, 0)
-    return best

@@ -148,17 +148,6 @@ def numerical_semigroup_gap(k: int, n: int) -> bool:
     return 1 <= q <= k - 2 and r <= q
 
 
-def factorials(lam: Partition) -> tuple[int, int]:
-    """Return (part factorial, multiplicity factorial) of a partition.
-
-    The part factorial is the product of the factorials of the parts; the
-    multiplicity factorial is the product of the factorials of the part
-    multiplicities.
-    """
-    lam = Partition(lam)
-    return lam.part_factorial(), lam.multiplicity_factorial()
-
-
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated partition such as "4,2,1".
 

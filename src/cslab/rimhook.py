@@ -10,8 +10,8 @@ spanning an even number of rows.
 The Schur coefficient of a graph's CSF is the signed sum, over tabloids of
 that shape, of the semi-ordered stable-partition counts of the content
 types.  This gives single coefficients without a full expansion and is
-cross-checked against the linear-algebra route (monomial expansion plus
-basis change), which shares no code with it.
+cross-checked against the linear-algebra route (full expansion plus basis
+change), which shares no code with it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .csf import csf_via_edge_subsets, csf_via_stable_partitions
+from .csf import compute_csf
 from .errors import DegreeMismatch, TooLarge
-from .graphs import Graph, count_stable_partitions, enumerate_stable_partitions
+from .graphs import Graph, count_stable_partitions
 from .partitions import Partition, enumerate_partitions, sort_to_partition
 from .symfunc import SymFunc, change_basis
 
@@ -40,31 +40,6 @@ class SpecialRimHookTabloid:
     hooks: tuple
     content: tuple
     sign_exponent: int
-
-    def __post_init__(self) -> None:
-        diagram = {
-            (r + 1, c + 1)
-            for r, part in enumerate(self.shape)
-            for c in range(part)
-        }
-        covered: set = set()
-        for cells in self.hooks:
-            if covered & cells:
-                raise ValueError("hooks overlap")
-            covered |= cells
-        if covered != diagram:
-            raise ValueError("hooks do not tile the diagram")
-        if self.content != tuple(len(cells) for cells in self.hooks):
-            raise ValueError("content does not list the hook sizes in order")
-        starts = [min(r for r, c in cells if c == 1) for cells in self.hooks]
-        if starts != sorted(starts) or len(set(starts)) != len(starts):
-            raise ValueError("hooks are not ordered by topmost column-1 row")
-        spans = [
-            max(r for r, _ in cells) - min(r for r, _ in cells) + 1
-            for cells in self.hooks
-        ]
-        if self.sign_exponent != sum(1 for s in spans if s % 2 == 0):
-            raise ValueError("sign exponent does not count even-row-span hooks")
 
     @property
     def sign(self) -> int:
@@ -153,11 +128,6 @@ def enumerate_srht(
 
 
 @lru_cache(maxsize=None)
-def _stable_type_counts(G: Graph) -> dict:
-    return enumerate_stable_partitions(G)
-
-
-@lru_cache(maxsize=None)
 def _semi_ordered_count(G: Graph, type_: Partition) -> int:
     return count_stable_partitions(G, type_).semi_ordered_count
 
@@ -167,42 +137,35 @@ def schur_coefficient(G: Graph, lam):
 
     Each tabloid of shape lam contributes its sign times the semi-ordered
     count of stable partitions whose type is the tabloid's content.  Up to
-    12 vertices the counts come from one full enumeration per graph;
-    beyond that each content type is counted on demand, which keeps long
-    thin trees reachable.
+    12 vertices each count is the m-coefficient of the graph's stable-m
+    expansion (a_lam times the multiplicity factorial), computed once per
+    graph by ``compute_csf``; beyond that each content type is counted on
+    demand, which keeps long thin trees reachable.
     """
     lam = Partition(lam)
     if lam.n != G.n:
         raise DegreeMismatch(
             f"partition sums to {lam.n} but the graph has {G.n} vertices"
         )
-    use_map = G.n <= 12
+    fm = compute_csf(G, "stable-m").value if G.n <= 12 else None
     rows = []
     total = 0
     for T in enumerate_srht(lam):
         t = T.content_type
-        if use_map:
-            a = _stable_type_counts(G).get(t, 0)
-            semi = a * t.multiplicity_factorial()
-        else:
-            semi = _semi_ordered_count(G, t)
+        semi = fm.coefficient(t) if fm is not None else _semi_ordered_count(G, t)
         rows.append((T.content, T.sign, semi))
         total += T.sign * semi
     return total, SchurCoefficientTrace(shape=lam, tabloids=tuple(rows), total=total)
 
 
 def schur_expansion_solve(G: Graph, cap: int = 12) -> SymFunc:
-    """Full Schur expansion by the linear-algebra route: monomial-basis CSF
-    (stable partitions up to 12 vertices, edge subsets above) followed by
-    a basis change.  Independent of the tabloid rule, so agreement between
-    the two is a real cross-check."""
+    """Full Schur expansion by the linear-algebra route: the CSF from
+    ``compute_csf`` (its cheapest route, shared with every other question
+    about G) followed by a basis change.  Independent of the tabloid rule,
+    so agreement between the two is a real cross-check."""
     if G.n > cap:
         raise TooLarge(f"full Schur expansion is capped at {cap} vertices, got {G.n}")
-    if G.n <= 12:
-        fm = csf_via_stable_partitions(G)
-    else:
-        fm = change_basis(csf_via_edge_subsets(G), "m", cap=max(cap, 24))
-    return change_basis(fm, "s", cap=max(cap, 24))
+    return change_basis(compute_csf(G).value, "s", cap=max(cap, 24))
 
 
 def inverse_kostka_matrix(n: int):

@@ -402,40 +402,6 @@ _EXPANSIONS = {
 }
 
 
-def basis_element_to_m(basis: str, lam: Partition) -> SymFunc:
-    """Expand a single e/p/s basis element in the monomial basis."""
-    if basis == "m":
-        return SymFunc.single("m", lam)
-    if basis not in _EXPANSIONS:
-        raise BasisMismatch(f"unknown basis {basis!r}")
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    return SymFunc("m", lam.n, dict(_EXPANSIONS[basis](lam)))
-
-
-def m_multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product of two monomial-basis functions, again in the monomial basis."""
-    if f.basis != "m" or g.basis != "m":
-        raise BasisMismatch(
-            f"m_multiply expects both factors in the m basis, got {f.basis!r} and {g.basis!r}"
-        )
-    return f * g
-
-
-def e_to_m(lam) -> SymFunc:
-    """Monomial expansion of the elementary symmetric function e_lam."""
-    return basis_element_to_m("e", lam)
-
-
-def p_to_m(lam) -> SymFunc:
-    """Monomial expansion of the power-sum symmetric function p_lam."""
-    return basis_element_to_m("p", lam)
-
-
-def s_to_m(lam) -> SymFunc:
-    """Monomial expansion of the Schur function s_lam (Kostka numbers)."""
-    return basis_element_to_m("s", lam)
-
-
 # -- change of basis ---------------------------------------------------------
 
 

@@ -219,6 +219,65 @@ def brute_stable_type_counts(G) -> dict:
     return out
 
 
+# -- family-recurrence oracles --------------------------------------------------
+# Elementary-basis CSFs of two small tree families by their one-step
+# edge-addition identities, built from a path series computed here from
+# its recurrence.  Terms are dicts from descending part tuples to integers.
+
+
+def _e_product(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for lam, a in f.items():
+        for mu, b in g.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, 0) + a * b
+    return out
+
+
+def _e_combine(*scaled) -> dict:
+    out: dict = {}
+    for scale, f in scaled:
+        for lam, c in f.items():
+            out[lam] = out.get(lam, 0) + scale * c
+    return {lam: c for lam, c in out.items() if c}
+
+
+def path_e_terms(n: int) -> dict:
+    """X(P_n) = e_n + sum over k in 2..n of (k-1) e_k X(P_{n-k})."""
+    series = [{(): 1}]
+    for m in range(1, n + 1):
+        terms = {(m,): 1}
+        for k in range(2, m + 1):
+            for lam, c in _e_product({(k,): k - 1}, series[m - k]).items():
+                terms[lam] = terms.get(lam, 0) + c
+        series.append(terms)
+    return series[n]
+
+
+def pendant_spider_e(a: int, b: int) -> SymFunc:
+    """The spider S(a, b, 1), a >= b >= 1, as
+    e_1 X(P_{N-1}) + X(P_N) - X(P_{a+1}) X(P_{b+1}) with N = a+b+2."""
+    N = a + b + 2
+    terms = _e_combine(
+        (1, _e_product({(1,): 1}, path_e_terms(N - 1))),
+        (1, path_e_terms(N)),
+        (-1, _e_product(path_e_terms(a + 1), path_e_terms(b + 1))),
+    )
+    return SymFunc("e", N, {Partition(lam): c for lam, c in terms.items()})
+
+
+def odd_broom_e(handle: int) -> SymFunc:
+    """The broom br(handle, 2) with odd handle 2a-1, as
+    e_1 X(P_{2a+1}) + X(P_{2a+2}) - 2 e_2 X(P_{2a})."""
+    a = (handle + 1) // 2
+    terms = _e_combine(
+        (1, _e_product({(1,): 1}, path_e_terms(2 * a + 1))),
+        (1, path_e_terms(2 * a + 2)),
+        (-2, _e_product({(2,): 1}, path_e_terms(2 * a))),
+    )
+    return SymFunc("e", handle + 3, {Partition(lam): c for lam, c in terms.items()})
+
+
 # -- arithmetic oracles --------------------------------------------------------
 
 

@@ -202,7 +202,7 @@ def test_criterion_07_two_leaf_broom_schur():
 def test_criterion_08_double_broom_schur():
     t0 = time.perf_counter()
     for p in range(1, 7):
-        f = broom_csf("odd_double_broom", 2 * p - 1)
+        f = broom_csf(2 * p - 1)
         target = Partition((2 * p + 2, 2))
         assert extract_coefficient(f, "e", target) == -2 * p - 4, p
 

@@ -2,7 +2,8 @@
 
 import json
 
-from cslab.cli import main
+from cslab import ROUTES
+from cslab.cli import _ROUTE_CHOICES, main
 
 
 def run_cli(argv, capsys):
@@ -39,6 +40,13 @@ class TestCsfVerb:
         code, _, err = run_cli(["csf", "--graph", "path:30", "--basis", "m"], capsys)
         assert code == 3
         assert "capped" in err
+
+    def test_route_choices_are_the_library_routes(self, capsys):
+        assert _ROUTE_CHOICES == ("auto",) + ROUTES
+        for route in ROUTES:
+            code, out, _ = run_cli(["csf", "--graph", "path:5", "--route", route], capsys)
+            assert code == 0
+            assert json.loads(out)["route"] == route
 
     def test_bad_graph_spec_exits_one(self, capsys):
         code, _, err = run_cli(["csf", "--graph", "edges:2:0-5"], capsys)
@@ -194,6 +202,15 @@ class TestConjectureVerb:
         )
         payload = json.loads(out)
         assert any("omitted" in note for note in payload["notes"])
+
+    def test_cap_environment_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CSLAB_CAP", "6")
+        code, out, _ = run_cli(
+            ["conjecture", "--id", "two-leaf-twin", "--limit", "3"], capsys
+        )
+        assert code == 0
+        statuses = [i["status"] for i in json.loads(out)["instances"]]
+        assert statuses == ["consistent", "skipped", "skipped"]
 
     def test_unknown_id_exits_one(self, capsys):
         code, _, err = run_cli(["conjecture", "--id", "42"], capsys)

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csf_by_colorings, expand_symfunc
+from oracles import csf_by_colorings, expand_symfunc, odd_broom_e, pendant_spider_e
 
 from cslab import (
     BadSpec,
     DegreeMismatch,
     NotStableTriple,
     Partition,
+    ROUTES,
     SymFunc,
     TooLarge,
     broom_csf,
@@ -127,6 +128,17 @@ class TestRouteAgreement:
     def test_unknown_route_is_rejected(self):
         with pytest.raises(BadSpec):
             compute_csf(build_family("claw"), route="magic")
+        with pytest.raises(BadSpec):
+            compute_csf(build_family("claw"), route="triple-deletion")
+
+    def test_every_listed_route_dispatches(self):
+        G = build_family("path", 5)
+        expansions = []
+        for route in ROUTES:
+            result = compute_csf(G, route)
+            assert result.route == route
+            expansions.append(change_basis(result.value, "m"))
+        assert all(f == expansions[0] for f in expansions)
 
 
 class TestPathSeries:
@@ -173,27 +185,25 @@ class TestSpiderRecurrence:
 class TestBroomIdentities:
     def test_pendant_spider_matches_spider(self):
         for a, b in ((2, 2), (4, 3), (5, 2), (6, 6)):
-            assert broom_csf("pendant_spider", a, b) == spider_csf(a, b, 1)
+            assert pendant_spider_e(a, b) == spider_csf(a, b, 1)
 
     def test_odd_broom_matches_generic(self):
         for handle in (1, 3, 5, 7):
             G = build_family("broom", handle, 2)
             direct = change_basis(csf_via_stable_partitions(G), "e")
-            assert broom_csf("odd_broom", handle) == direct, handle
+            assert odd_broom_e(handle) == direct, handle
 
     def test_odd_double_broom_matches_generic(self):
         for middle in (1, 3, 5):
             G = build_family("dbroom", 2, middle, 2)
             direct = change_basis(csf_via_stable_partitions(G), "e")
-            assert broom_csf("odd_double_broom", middle) == direct, middle
+            assert broom_csf(middle) == direct, middle
 
     def test_rejects_even_or_missing_parameters(self):
         with pytest.raises(BadSpec):
-            broom_csf("odd_broom", 4)
+            broom_csf(4)
         with pytest.raises(BadSpec):
-            broom_csf("pendant_spider", 3)
-        with pytest.raises(BadSpec):
-            broom_csf("no_such_kind", 1)
+            broom_csf(0)
 
 
 class TestTripleDeletion:

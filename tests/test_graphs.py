@@ -27,7 +27,6 @@ from cslab import (
     count_stable_partitions,
     enumerate_stable_partitions,
     has_connected_partition,
-    independence_number,
     parse_graph_spec,
     random_graph,
     random_tree,
@@ -229,14 +228,6 @@ class TestRandomGenerators:
         c = random_graph(8, 0.4, random.Random(5))
         d = random_graph(8, 0.4, random.Random(5))
         assert c == d
-
-
-class TestIndependenceNumber:
-    def test_knowns(self):
-        assert independence_number(build_family("complete", 6)) == 1
-        assert independence_number(build_family("star", 5)) == 5
-        assert independence_number(build_family("path", 7)) == 4
-        assert independence_number(build_family("cycle", 6)) == 3
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,11 +2,14 @@
 
 import pytest
 
+import cslab.csf
 from cslab import (
     BadParity,
     BadSpec,
     Partition,
     SCREENER_NAMES,
+    SweepResult,
+    SweepRow,
     build_family,
     check_conjecture,
     e_positivity,
@@ -141,6 +144,35 @@ class TestSchurPositivity:
         assert report.witness.coefficient == -1
 
 
+class TestOneExpansionPerGraph:
+    """Both questions about one graph share its CSF expansion."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        calls = []
+        original = cslab.csf.enumerate_stable_partitions
+
+        def counted(G):
+            calls.append(G)
+            return original(G)
+
+        monkeypatch.setattr(cslab.csf, "enumerate_stable_partitions", counted)
+        cslab.csf._generic_csf.cache_clear()
+        return calls
+
+    def test_generic_graph_is_enumerated_once(self, enumerations):
+        G = parse_graph_spec("dbroom:3,2,4")
+        assert e_positivity(G).e_positive == NO
+        assert schur_positivity(G).schur_positive == NO
+        assert len(enumerations) == 1
+
+    def test_spider_is_never_enumerated(self, enumerations):
+        G = parse_graph_spec("spider:6,3,2")
+        assert e_positivity(G).e_positive == NO
+        assert schur_positivity(G).schur_positive == YES
+        assert enumerations == []
+
+
 class TestSweeps:
     def test_short_pendant_sweep(self):
         result = run_sweep("spider:a,2,1", "a", 2, 12)
@@ -159,15 +191,16 @@ class TestSweeps:
         assert all(row.error is not None for row in result.rows)
         assert result.e_positives == ()
 
-    def test_summary_must_match_rows(self):
-        from cslab import SweepResult
-
-        good = run_sweep("spider:a,2,1", "a", 2, 5)
-        with pytest.raises(ValueError):
-            SweepResult(
-                good.family, good.variable, good.lower, good.upper,
-                good.rows, e_positives=(2,), schur_positives=good.schur_positives,
-            )
+    def test_summaries_track_rows(self):
+        good = run_sweep("spider:a,2,1", "a", 2, 7)
+        assert good.e_positives == (3, 6)
+        assert good.schur_positives == (2, 3, 4, 5, 6, 7)
+        # Drop a=6 for an error row: both summaries follow the rows.
+        error_row = SweepRow(6, None, None, error="no such instance")
+        rows = good.rows[:4] + (error_row,) + good.rows[5:]
+        mixed = SweepResult(good.family, good.variable, good.lower, good.upper, rows)
+        assert mixed.e_positives == (3,)
+        assert mixed.schur_positives == (2, 3, 4, 5, 7)
 
 
 class TestConjectures:

@@ -57,7 +57,7 @@ class TestTinyTabloidSets:
 
 class TestTabloidStructure:
     def test_tiling_and_signs_for_all_small_shapes(self):
-        for n in range(1, 8):
+        for n in range(0, 10):
             for shape in enumerate_partitions(n):
                 diagram = {
                     (r + 1, c + 1) for r, width in enumerate(shape) for c in range(width)
@@ -67,6 +67,10 @@ class TestTabloidStructure:
                     assert len(cells) == len(set(cells)), shape
                     assert set(cells) == diagram, shape
                     assert tabloid.content == tuple(len(h) for h in tabloid.hooks)
+                    starts = [
+                        min(r for r, c in hook if c == 1) for hook in tabloid.hooks
+                    ]
+                    assert all(a < b for a, b in zip(starts, starts[1:])), shape
                     spans = [
                         len({r for r, _ in hook}) for hook in tabloid.hooks
                     ]
