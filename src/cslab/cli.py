@@ -14,7 +14,7 @@ decimal strings so arbitrary precision survives any consumer), CSV for
 sweeps via --out csv, or an aligned table via --pretty.  Exit codes:
 0 success, 1 usage error or suite failure, 2 a "no" verdict under
 --expect positive, 3 a size cap was hit (or "unknown-at-cap" under
---expect positive).  The CSLAB_CAP environment variable supplies --cap
+--expect positive), 4 an internal contradiction (a bug, not bad input).  The CSLAB_CAP environment variable supplies --cap
 when the flag is absent.
 """
 
@@ -29,7 +29,7 @@ import re
 import sys
 
 from .csf import ROUTES, compute_csf, extract_coefficient
-from .errors import TooLarge
+from .errors import InternalContradiction, TooLarge
 from .graphs import parse_graph_spec
 from .partitions import parse_partition
 from .positivity import (
@@ -49,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_CAPPED = 3
+EXIT_INTERNAL = 4
 
 _RANGE = re.compile(r"^([A-Za-z]\w*)=(-?\d+)\.\.(-?\d+)$")
 
@@ -411,6 +412,9 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"cslab: capped: {exc}", file=sys.stderr)
         return EXIT_CAPPED
+    except InternalContradiction as exc:
+        print(f"cslab: internal contradiction: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"cslab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,7 +43,17 @@ class EmptyFunction(ValueError):
     """An extremal query was made on the zero function."""
 
 
-class SingularSystem(ValueError):
+class InternalContradiction(ValueError):
+    """Two parts of the toolkit disagree about one input.
+
+    A screener that rejects a graph whose expansion is nonnegative, or a
+    solve that leaves a residual, means one of them is implemented wrongly:
+    a bug, never bad input.  Sweeps record it on the instance's row, and
+    the CLI exits 4.
+    """
+
+
+class SingularSystem(InternalContradiction):
     """A basis-change solve did not terminate with a zero residual.
 
     The monomial transition matrices of the e, p and s bases are

@@ -17,7 +17,10 @@ labeling so coefficient traces and golden files are reproducible:
 A stable set spans no edge; a stable partition splits the vertex set into
 stable blocks.  Counting stable partitions by block-size type is the
 monomial-coefficient side of the chromatic symmetric function, so all
-counting here is exact integer arithmetic.
+counting here is exact integer arithmetic.  All types at once come from a
+subset DP over vertex bitmasks (``enumerate_stable_partitions``); one type
+at a time from a backtracking count over vertices
+(``count_stable_partitions``), which shares no code with the DP.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import add, itemgetter
 from typing import Iterator
 
 from .errors import (
@@ -462,52 +466,100 @@ def count_stable_partitions(
     return StablePartitionCount(type=lam, count=count, semi_ordered_count=ordered)
 
 
+def _part_insertions(n: int) -> tuple:
+    """Partitions of 0..n and the maps that add one part to them.
+
+    ``parts[m]`` lists the partitions of m as plain tuples in
+    reverse-lexicographic order; a count vector over the partitions of m is
+    indexed by that rank and ends in a zero sentinel.  ``insert[k][m]``
+    carries such a vector over the partitions of m - k to one over the
+    partitions of m, each entry moving to the partition with one more part
+    k; partitions of m with no part k read the sentinel (index -1).
+    """
+    # Built here rather than by enumerate_partitions, whose validated
+    # Partition objects double the cost of this per-call table.
+    ranked = {(0, 0): [()]}
+    for m in range(1, n + 1):
+        for cap in range(1, m + 1):
+            ranked[m, cap] = [
+                (first,) + rest
+                for first in range(cap, 0, -1)
+                for rest in ranked[m - first, min(first, m - first)]
+            ]
+    parts = [ranked[m, m] for m in range(n + 1)]
+    rank = [{p: i for i, p in enumerate(ps)} for ps in parts]
+    insert = [[None] * (n + 1) for _ in range(n + 1)]
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            below = rank[m - k]
+            sources = []
+            for q in parts[m]:
+                if k in q:
+                    at = q.index(k)
+                    sources.append(below[q[:at] + q[at + 1 :]])
+                else:
+                    sources.append(-1)
+            insert[k][m] = itemgetter(*sources, -1)
+    return parts, insert
+
+
+def _stable_counts(mask: int, memo: dict, masks: tuple, insert: list) -> tuple:
+    """Stable partitions of the vertex set ``mask`` counted by type, as a
+    count vector over the partitions of its size (see ``_part_insertions``).
+
+    The block holding the lowest vertex v of the mask is v plus an
+    independent set S of v's non-neighbours in the mask, and the rest of
+    the mask is partitioned on its own; so the vector is the sum over S of
+    the vector of mask - v - S with a part |S| + 1 added.  The remainders
+    are grouped by |S| so each size is summed before its parts are added.
+    """
+    low = mask & -mask
+    rest = mask ^ low
+    free = rest & ~masks[low.bit_length() - 1]
+    by_size = [[rest]]
+    while free:
+        bit = free & -free
+        free ^= bit
+        conflict = masks[bit.bit_length() - 1] & mask
+        for s in range(len(by_size) - 1, -1, -1):
+            grown = [r ^ bit for r in by_size[s] if not conflict & ~r]
+            if not grown:
+                continue
+            if s + 1 == len(by_size):
+                by_size.append(grown)
+            else:
+                by_size[s + 1].extend(grown)
+    size = mask.bit_count()
+    out = None
+    for s, remainders in enumerate(by_size):
+        vectors = [
+            memo.get(r) or _stable_counts(r, memo, masks, insert) for r in remainders
+        ]
+        summed = vectors[0] if len(vectors) == 1 else tuple(map(sum, zip(*vectors)))
+        moved = insert[s + 1][size](summed)
+        out = moved if out is None else tuple(map(add, out, moved))
+    memo[mask] = out
+    return out
+
+
 def enumerate_stable_partitions(G: Graph) -> dict:
     """All stable-partition counts of G, keyed by type.
 
-    Recursive block assignment: each vertex joins an existing stable block
-    or opens the next one, so every unordered partition is built exactly
-    once.  The vertex budget keeps the worst case (a sparse graph, whose
-    stable partitions are nearly all set partitions) within reach.
+    A subset DP over vertex bitmasks (``_stable_counts``): each remaining
+    vertex set is solved once, so the work follows the number of vertex
+    sets left after removing whole blocks, not the number of stable
+    partitions.  The memo of solved sets lives only for this call.  The
+    vertex budget bounds the 2^n possible vertex sets.
     """
     if G.n > 16:
         raise TooLarge(
             f"stable-partition enumeration is capped at 16 vertices, got {G.n}"
         )
-    masks = _adjacency_masks(G)
-    order = _search_order(G)
-    n = G.n
-    tallies: dict = {}
-    block_masks: list = []
-    sizes: list = []
-
-    def assign(i: int) -> None:
-        if i == n:
-            key = tuple(sorted(sizes, reverse=True))
-            tallies[key] = tallies.get(key, 0) + 1
-            return
-        v = order[i]
-        conflict = masks[v]
-        bit = 1 << v
-        for b in range(len(block_masks)):
-            if block_masks[b] & conflict:
-                continue
-            block_masks[b] |= bit
-            sizes[b] += 1
-            assign(i + 1)
-            sizes[b] -= 1
-            block_masks[b] &= ~bit
-        block_masks.append(bit)
-        sizes.append(1)
-        assign(i + 1)
-        block_masks.pop()
-        sizes.pop()
-
-    if n:
-        assign(0)
-    else:
-        tallies[()] = 1
-    return {Partition(key): value for key, value in tallies.items()}
+    parts, insert = _part_insertions(G.n)
+    memo = {0: (1, 0)}
+    full = (1 << G.n) - 1
+    counts = _stable_counts(full, memo, _adjacency_masks(G), insert) if full else memo[0]
+    return {Partition(lam): c for lam, c in zip(parts[G.n], counts) if c}
 
 
 # -- connected partitions -----------------------------------------------------

@@ -21,7 +21,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .csf import _double_broom_shape, compute_csf
-from .errors import BadParity, BadSpec, NotBipartite, NotConnected, TooLarge
+from .errors import (
+    BadParity,
+    BadSpec,
+    InternalContradiction,
+    NotBipartite,
+    NotConnected,
+    TooLarge,
+)
 from .graphs import (
     Graph,
     balanced_stable_bipartition,
@@ -310,7 +317,7 @@ def e_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityReport:
             G, e_positive=NO, witness=Witness("e", lam, coeff), screener_trace=trace
         )
     if screeners_failed:
-        raise RuntimeError(
+        raise InternalContradiction(
             f"screener contradicts a nonnegative e-expansion on {G.label or G}: "
             "one of the two is implemented wrongly"
         )
@@ -373,7 +380,7 @@ def schur_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityRepor
                 G, schur_positive=NO, witness=Witness("s", lam, coeff), screener_trace=trace
             )
         if unbalanced:
-            raise RuntimeError(
+            raise InternalContradiction(
                 f"balance screener contradicts a nonnegative s-expansion on {G.label or G}"
             )
         return PositivityReport(G, schur_positive=YES, screener_trace=trace)

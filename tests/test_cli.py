@@ -106,6 +106,12 @@ class TestPositivityVerb:
         )
         assert code == 0
 
+    def test_internal_contradiction_exits_four(self, capsys, lying_screener):
+        code, out, err = run_cli(["positivity", "--graph", "spider:3,2,1"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "internal contradiction" in err
+
     def test_unknown_at_cap_exits_three(self, capsys):
         code, out, _ = run_cli(
             ["positivity", "--graph", "spider:9,2,1", "--basis", "s",

@@ -1,7 +1,9 @@
 """Graph families, stable-partition counting, and coloring counts against
 brute enumeration."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,16 +22,20 @@ from cslab import (
     Graph,
     NotBipartite,
     Partition,
+    TooLarge,
     TooManyBlocks,
     balanced_stable_bipartition,
     build_family,
+    change_basis,
     chromatic_polynomial,
+    compute_csf,
     count_stable_partitions,
     enumerate_stable_partitions,
     has_connected_partition,
     parse_graph_spec,
     random_graph,
     random_tree,
+    specialize_ones,
     spider_legs,
 )
 
@@ -169,6 +175,40 @@ class TestStablePartitions:
         G = build_family("complete", 5)
         assert enumerate_stable_partitions(G) == {Partition((1,) * 5): 1}
 
+    def test_vertex_cap_is_enforced(self):
+        with pytest.raises(TooLarge):
+            enumerate_stable_partitions(build_family("path", 17))
+
+    def test_reaches_fourteen_vertex_trees(self):
+        G = random_tree(14, random.Random(14))
+        stable = compute_csf(G, "stable-m").value
+        assert change_basis(compute_csf(G, "edge-p").value, "m") == stable
+        for k in range(1, 4):
+            assert specialize_ones(stable, k) == chromatic_polynomial(G, k)
+
+    def test_memo_is_released_on_return(self):
+        # A memo caught in a reference cycle would outlive the call until a
+        # full collection.  The collection below runs under DEBUG_SAVEALL,
+        # so such garbage stays counted while the interpreter's free lists,
+        # which hold on to small tuples, are emptied on both sides.
+        G = random_tree(12, random.Random(12))
+        enumerate_stable_partitions(G)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            enumerate_stable_partitions(G)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            tracemalloc.stop()
+            gc.enable()
+        assert after - before < 64 * 1024
+
 
 class TestConnectedPartitions:
     def test_path_has_all_types(self):
@@ -231,7 +271,15 @@ class TestRandomGenerators:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 7), st.integers(0, 10**6))
-def test_property_stable_counts_match_brute(n, seed):
-    G = random_graph(n, 0.45, random.Random(seed))
+@given(st.integers(2, 9), st.sampled_from((0.2, 0.45, 0.7)), st.integers(0, 10**6))
+def test_property_stable_counts_match_brute(n, p, seed):
+    G = random_graph(n, p, random.Random(seed))
     assert enumerate_stable_partitions(G) == brute_stable_type_counts(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.sampled_from((0.2, 0.45, 0.7)), st.integers(0, 10**6))
+def test_property_enumeration_matches_single_type_counts(n, p, seed):
+    G = random_graph(n, p, random.Random(seed))
+    for lam, count in enumerate_stable_partitions(G).items():
+        assert count_stable_partitions(G, lam, max_blocks=G.n).count == count, lam

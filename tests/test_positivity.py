@@ -3,9 +3,11 @@
 import pytest
 
 import cslab.csf
+import cslab.positivity
 from cslab import (
     BadParity,
     BadSpec,
+    InternalContradiction,
     Partition,
     SCREENER_NAMES,
     SweepResult,
@@ -171,6 +173,27 @@ class TestOneExpansionPerGraph:
         assert e_positivity(G).e_positive == NO
         assert schur_positivity(G).schur_positive == YES
         assert enumerations == []
+
+
+class TestInternalContradictions:
+    def test_screener_against_nonnegative_e_expansion(self, lying_screener):
+        with pytest.raises(InternalContradiction, match="screener contradicts"):
+            e_positivity(parse_graph_spec("spider:3,2,1"))
+
+    def test_balance_against_nonnegative_s_expansion(self, monkeypatch):
+        monkeypatch.setattr(
+            cslab.positivity, "balanced_stable_bipartition", lambda G: False
+        )
+        with pytest.raises(InternalContradiction, match="balance screener"):
+            schur_positivity(build_family("path", 4))
+
+    def test_sweep_records_an_error_row_and_goes_on(self, lying_screener):
+        result = run_sweep("spider:a,2,1", "a", 2, 4)
+        errors = {row.param: row.error for row in result.rows}
+        assert errors[2] is None and errors[4] is None
+        assert "screener contradicts" in errors[3]
+        assert result.e_positives == ()
+        assert result.schur_positives == (2, 4)
 
 
 class TestSweeps:
