@@ -14,8 +14,9 @@ decimal strings so arbitrary precision survives any consumer), CSV for
 sweeps via --out csv, or an aligned table via --pretty.  Exit codes:
 0 success, 1 usage error or suite failure, 2 a "no" verdict under
 --expect positive, 3 a size cap was hit (or "unknown-at-cap" under
---expect positive), 4 an internal contradiction (a bug, not bad input).  The CSLAB_CAP environment variable supplies --cap
-when the flag is absent.
+--expect positive), 4 an internal contradiction (a bug, not bad input),
+141 stdout was closed before the output was written (e.g. by ``| head``).
+The CSLAB_CAP environment variable supplies --cap when the flag is absent.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_CAPPED = 3
 EXIT_INTERNAL = 4
+#: 128 + SIGPIPE, as a shell reports a process killed by a closed pipe; never
+#: 0, so truncated output cannot pass for a complete answer.
+EXIT_BROKEN_PIPE = 141
 
 _RANGE = re.compile(r"^([A-Za-z]\w*)=(-?\d+)\.\.(-?\d+)$")
 
@@ -408,7 +412,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.verb](args)
+        code = _HANDLERS[args.verb](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except TooLarge as exc:
         print(f"cslab: capped: {exc}", file=sys.stderr)
         return EXIT_CAPPED

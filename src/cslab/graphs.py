@@ -399,42 +399,40 @@ def _ordered_stable_count(G: Graph, lam: Partition) -> int:
     explored once and multiplied, which keeps the search near the number of
     genuinely distinct partial partitions.
     """
-    masks = _adjacency_masks(G)
     order = _search_order(G)
-    k = lam.length
-    remaining = list(lam)
-    members = [0] * k
-    n = G.n
+    masks = _adjacency_masks(G)
+    return _assign(0, G.n, order, masks, list(lam), [0] * lam.length, range(lam.length))
 
-    def assign(i: int) -> int:
-        if i == n:
-            return 1
-        v = order[i]
-        conflict = masks[v]
-        bit = 1 << v
-        total = 0
-        tried_empty = set()
-        for b in range(k):
-            if remaining[b] == 0 or members[b] & conflict:
+
+def _assign(i: int, n: int, order: list, masks, remaining: list, members: list, blocks) -> int:
+    """Completions of a partial assignment of ``order[:i]``, the first i of
+    n vertices, to the blocks indexed by ``blocks``: ``members[b]`` holds
+    block b's vertex bitmask and ``remaining[b]`` its free capacity; both
+    are restored before returning."""
+    if i == n:
+        return 1
+    v = order[i]
+    conflict = masks[v]
+    bit = 1 << v
+    total = 0
+    tried_empty = set()
+    for b in blocks:
+        if remaining[b] == 0 or members[b] & conflict:
+            continue
+        if members[b] == 0:
+            cap = remaining[b]
+            if cap in tried_empty:
                 continue
-            if members[b] == 0:
-                cap = remaining[b]
-                if cap in tried_empty:
-                    continue
-                tried_empty.add(cap)
-                twins = sum(
-                    1 for j in range(k) if members[j] == 0 and remaining[j] == cap
-                )
-            else:
-                twins = 1
-            members[b] |= bit
-            remaining[b] -= 1
-            total += twins * assign(i + 1)
-            remaining[b] += 1
-            members[b] &= ~bit
-        return total
-
-    return assign(0)
+            tried_empty.add(cap)
+            twins = sum(1 for j in blocks if members[j] == 0 and remaining[j] == cap)
+        else:
+            twins = 1
+        members[b] |= bit
+        remaining[b] -= 1
+        total += twins * _assign(i + 1, n, order, masks, remaining, members, blocks)
+        remaining[b] += 1
+        members[b] &= ~bit
+    return total
 
 
 def count_stable_partitions(

@@ -115,20 +115,22 @@ def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[Partit
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-
-    def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first, *rest)
-
     cap = n if max_part is None else min(max_part, n)
     if n > 0 and cap <= 0:
         return
-    for parts in gen(n, cap if n else 0):
+    for parts in _part_tuples(n, cap if n else 0):
         yield Partition(parts)
+
+
+def _part_tuples(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``remaining`` with parts at most ``cap``, as plain
+    tuples in reverse-lexicographic order."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(cap, remaining), 0, -1):
+        for rest in _part_tuples(remaining - first, first):
+            yield (first, *rest)
 
 
 def numerical_semigroup_gap(k: int, n: int) -> bool:

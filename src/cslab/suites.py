@@ -68,12 +68,18 @@ def _route_equivalence(seed: int, count: int):
         else:
             G = random_graph(n, 0.4, rng)
         stable = csf_via_stable_partitions(G)
-        by_edges = change_basis(csf_via_edge_subsets(G), "m")
-        if stable.terms != by_edges.terms:
-            failures.append(
-                f"routes disagree on {_graph_spec(G)}: stable partitions gave "
-                f"{stable.terms_sorted()}, edge subsets gave {by_edges.terms_sorted()}"
-            )
+        edges = csf_via_edge_subsets(G)
+        # m compares the two expansions; e and s also compare the direct
+        # power-sum conversions with triangular peeling from m.
+        for basis in ("m", "e", "s"):
+            from_stable = change_basis(stable, basis)
+            from_edges = change_basis(edges, basis)
+            if from_stable.terms != from_edges.terms:
+                failures.append(
+                    f"routes disagree in the {basis} basis on {_graph_spec(G)}: stable "
+                    f"partitions gave {from_stable.terms_sorted()}, edge subsets gave "
+                    f"{from_edges.terms_sorted()}"
+                )
     return count, failures
 
 

@@ -9,11 +9,15 @@ partitions of a fixed degree, in one of four classical bases:
 - ``s``: Schur
 
 Coefficients are exact (int, promoted to Fraction only when division
-occurs).  Basis changes never solve a dense linear system: each change of
-basis peels the reverse-lexicographically extreme term of the residual and
-subtracts the matching pivot expansion, which is valid because the
-transition matrices are triangular with respect to dominance order and
-reverse-lexicographic order refines dominance.
+occurs).  Basis changes never solve a dense linear system.  A power-sum
+function goes straight to e or s: p_mu is a product of power sums, each p_k
+is written in the e basis by Newton's identity (indices concatenate, since
+e is multiplicative), and multiplying a Schur function by p_k adds signed
+border strips (the Murnaghan-Nakayama rule).  Every other change of basis
+goes through m and then peels the reverse-lexicographically extreme term
+of the residual, subtracting the matching pivot expansion, which is valid
+because the transition matrices are triangular with respect to dominance
+order and reverse-lexicographic order refines dominance.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from math import comb, factorial, perm
 from typing import Iterator, Mapping, Union
 
 from .errors import BasisMismatch, DegreeMismatch, EmptyFunction, SingularSystem, TooLarge
-from .partitions import Partition, sort_to_partition
+from .partitions import Partition, enumerate_partitions, sort_to_partition
 
 BASES = ("m", "e", "p", "s")
 
@@ -385,8 +389,6 @@ def kostka_number(shape: Partition, content: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _s_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    from .partitions import enumerate_partitions
-
     out = []
     for mu in enumerate_partitions(lam.n):
         k = kostka_number(lam, mu)
@@ -402,13 +404,94 @@ _EXPANSIONS = {
 }
 
 
+# -- power sums straight into the e and s bases ------------------------------
+#
+# These tables index their terms by plain sorted tuples, which hash and
+# compare equal to the matching Partition; building a validated Partition
+# for every intermediate term cost more than the arithmetic.  SymFunc turns
+# the keys of the final result into Partitions.
+
+
+@lru_cache(maxsize=None)
+def _power_in_e(k: int) -> tuple[tuple[Partition, int], ...]:
+    """p_k in the e basis by Newton's identity: the coefficient of e_lam,
+    for lam a partition of k, is (-1)^(k - l) k (l - 1)! / prod_i m_i(lam)!
+    with l the length of lam and m_i its part multiplicities."""
+    out = []
+    for lam in enumerate_partitions(k):
+        ell = lam.length
+        coeff = k * factorial(ell - 1) // lam.multiplicity_factorial()
+        out.append((lam, -coeff if (k - ell) % 2 else coeff))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _p_to_e_terms(mu: tuple) -> tuple[tuple[tuple, Coeff], ...]:
+    """p_mu in the e basis: the e-expansion of p_mu without its last part
+    times the Newton expansion of that part, indices concatenated."""
+    if not mu:
+        return (((), 1),)
+    out: dict[tuple, Coeff] = {}
+    power = _power_in_e(mu[-1])
+    for lam, c in _p_to_e_terms(mu[:-1]):
+        for nu, d in power:
+            key = tuple(sorted(lam + nu, reverse=True))
+            out[key] = out.get(key, 0) + c * d
+    return tuple((key, c) for key, c in out.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _add_border_strips(nu: tuple, k: int) -> tuple[tuple[tuple, int], ...]:
+    """Each shape lam with lam/nu a border strip of k cells, with the sign
+    (-1)^(rows of the strip - 1).
+
+    Works on nu's beta-set, padded to len(nu) + k beads (enough rows for
+    any strip): a strip is one bead moved k places up to a free position,
+    and its row count less one is the number of beads the move jumps.
+    """
+    length = len(nu) + k
+    beads = [part + length - 1 - i for i, part in enumerate(nu)]
+    beads.extend(range(k - 1, -1, -1))
+    occupied = set(beads)
+    out = []
+    for b in beads:
+        top = b + k
+        if top in occupied:
+            continue
+        jumped = sum(1 for c in beads if b < c < top)
+        moved = sorted((top if c == b else c for c in beads), reverse=True)
+        lam = tuple(p for p in (c - (length - 1 - i) for i, c in enumerate(moved)) if p)
+        out.append((lam, -1 if jumped % 2 else 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _p_to_s_terms(mu: tuple) -> tuple[tuple[tuple, Coeff], ...]:
+    """p_mu in the s basis; the coefficient of s_lam is the character
+    chi^lam(mu).  The Schur expansion of p_mu without its last part is
+    multiplied by that part through p_k s_nu = sum of +-s_lam over the
+    border strips lam/nu of size k (Murnaghan-Nakayama)."""
+    if not mu:
+        return (((), 1),)
+    out: dict[tuple, Coeff] = {}
+    k = mu[-1]
+    for nu, c in _p_to_s_terms(mu[:-1]):
+        for lam, sign in _add_border_strips(nu, k):
+            out[lam] = out.get(lam, 0) + sign * c
+    return tuple((lam, c) for lam, c in out.items() if c)
+
+
+_FROM_P = {
+    "e": _p_to_e_terms,
+    "s": _p_to_s_terms,
+}
+
+
 # -- change of basis ---------------------------------------------------------
 
 
-def _to_m(f: SymFunc) -> SymFunc:
-    if f.basis == "m":
-        return f
-    expand = _EXPANSIONS[f.basis]
+def _expand(f: SymFunc, expand, basis: str) -> SymFunc:
+    """Sum the basis expansions ``expand(lam)`` of f's terms, in ``basis``."""
     out: dict[Partition, Coeff] = {}
     for lam, c in f.terms.items():
         for mu, d in expand(lam):
@@ -417,7 +500,13 @@ def _to_m(f: SymFunc) -> SymFunc:
                 out[mu] = val
             else:
                 out.pop(mu, None)
-    return SymFunc("m", f.degree, out)
+    return SymFunc(basis, f.degree, out)
+
+
+def _to_m(f: SymFunc) -> SymFunc:
+    if f.basis == "m":
+        return f
+    return _expand(f, _EXPANSIONS[f.basis], "m")
 
 
 def _peel_from_m(fm: SymFunc, target: str) -> SymFunc:
@@ -463,9 +552,12 @@ def _peel_from_m(fm: SymFunc, target: str) -> SymFunc:
 def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
     """Rewrite f in the target basis, exactly.
 
-    Refuses degrees above ``cap``: the number of partitions, and with it the
-    implicit transition system, grows too fast for a full expansion to be a
-    sensible default there.
+    A power-sum f goes straight to e (Newton's identity) or s (border
+    strips); every other pair goes through the monomial basis and, unless
+    m is the target, triangular peeling from there.  Refuses degrees above
+    ``cap``: the number of partitions, and with it the implicit transition
+    system, grows too fast for a full expansion to be a sensible default
+    there.
     """
     if target not in BASES:
         raise BasisMismatch(f"unknown basis {target!r}; expected one of {BASES}")
@@ -473,6 +565,8 @@ def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymF
         raise TooLarge(f"degree {f.degree} exceeds the basis-change cap {cap}")
     if target == f.basis:
         return f
+    if f.basis == "p" and target in _FROM_P:
+        return _expand(f, _FROM_P[target], target)
     fm = _to_m(f)
     if target == "m":
         return fm

@@ -1,6 +1,10 @@
 """The command-line interface: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from cslab import ROUTES
 from cslab.cli import _ROUTE_CHOICES, main
@@ -111,6 +115,24 @@ class TestPositivityVerb:
         assert code == 4
         assert out == ""
         assert "internal contradiction" in err
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # The read end is closed before the child starts, so its first write
+        # fails with EPIPE whatever the timing.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "cslab.cli", "csf", "--graph", "dbroom:3,5,3",
+                 "--basis", "s"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == b""
 
     def test_unknown_at_cap_exits_three(self, capsys):
         code, out, _ = run_cli(

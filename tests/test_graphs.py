@@ -209,6 +209,19 @@ class TestStablePartitions:
             gc.enable()
         assert after - before < 64 * 1024
 
+    def test_single_type_count_leaves_no_cycles(self):
+        G = build_family("spider", 3, 2, 1)
+        lam = Partition((3, 2, 2))
+        count_stable_partitions(G, lam)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                count_stable_partitions(G, lam)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestConnectedPartitions:
     def test_path_has_all_types(self):

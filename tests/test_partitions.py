@@ -1,5 +1,7 @@
 """Partition arithmetic against definition-level oracles."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,6 +82,16 @@ class TestEnumeration:
         assert all(lam[0] <= 3 for lam in capped if lam)
         full = [lam for lam in enumerate_partitions(8) if not lam or lam[0] <= 3]
         assert capped == full
+
+    def test_enumeration_leaves_no_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                list(enumerate_partitions(6))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @given(partition_lists)
     def test_sort_to_partition_accepts_any_order(self, parts):

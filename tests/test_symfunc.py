@@ -7,6 +7,7 @@ the degree.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,8 @@ from cslab import (
     kostka_number,
     specialize_ones,
 )
-from cslab.symfunc import from_json_dict, to_json_dict
+from cslab import symfunc
+from cslab.symfunc import _p_to_s_terms, _peel_from_m, _to_m, from_json_dict, to_json_dict
 
 small_partitions = [
     lam for n in range(0, 7) for lam in enumerate_partitions(n)
@@ -160,6 +162,45 @@ class TestChangeBasis:
             change_basis(SymFunc.one("m"), "q")
 
 
+def z(mu: Partition) -> int:
+    """Size of the centralizer of a permutation of cycle type mu."""
+    out = mu.multiplicity_factorial()
+    for part in mu:
+        out *= part
+    return out
+
+
+class TestPowerSumConversions:
+    @pytest.mark.parametrize("target", ["e", "s"])
+    @pytest.mark.parametrize("mu", [mu for mu in small_partitions if mu.n])
+    def test_matches_polynomial_expansion(self, mu, target):
+        f = SymFunc.single("p", mu, 2)
+        assert polys_equal(f, change_basis(f, target), mu.n)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_characters_are_orthonormal(self, n):
+        shapes = list(enumerate_partitions(n))
+        chi = {mu: dict(_p_to_s_terms(mu)) for mu in shapes}
+        for lam in shapes:
+            for nu in shapes:
+                inner = sum(
+                    Fraction(chi[mu].get(lam, 0) * chi[mu].get(nu, 0), z(mu)) for mu in shapes
+                )
+                assert inner == (1 if lam == nu else 0), (n, lam, nu)
+
+    def test_makes_no_lookups_in_the_m_tables(self):
+        tables = (symfunc.kostka_number, symfunc._p_to_m_terms, symfunc._e_to_m_terms)
+
+        def lookups():
+            return [t.cache_info().hits + t.cache_info().misses for t in tables]
+
+        f = SymFunc("p", 7, {Partition((4, 2, 1)): 3, Partition((1,) * 7): -1})
+        before = lookups()
+        change_basis(f, "e")
+        change_basis(f, "s")
+        assert lookups() == before
+
+
 class TestSpecializeOnes:
     @pytest.mark.parametrize("basis", ["m", "e", "p", "s"])
     def test_matches_coefficient_sum_of_expansion(self, basis):
@@ -228,3 +269,19 @@ class TestSerialization:
 def test_property_conversion_preserves_restriction(lam, basis):
     f = SymFunc.single(basis, lam)
     assert polys_equal(f, change_basis(f, "m"), lam.n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.dictionaries(
+            st.sampled_from(list(enumerate_partitions(n))),
+            st.integers(-50, 50),
+            min_size=1,
+            max_size=6,
+        ).map(lambda terms: SymFunc("p", n, terms))
+    ),
+    st.sampled_from(["e", "s"]),
+)
+def test_property_power_sums_convert_like_peeling_from_m(f, target):
+    assert change_basis(f, target) == _peel_from_m(_to_m(f), target)
