@@ -16,7 +16,8 @@ sweeps via --out csv, or an aligned table via --pretty.  Exit codes:
 --expect positive, 3 a size cap was hit (or "unknown-at-cap" under
 --expect positive), 4 an internal contradiction (a bug, not bad input),
 141 stdout was closed before the output was written (e.g. by ``| head``).
-The CSLAB_CAP environment variable supplies --cap when the flag is absent.
+The CSLAB_CAP environment variable supplies --cap when the flag is absent;
+a cap that is not a nonnegative integer is a usage error.
 """
 
 from __future__ import annotations
@@ -131,12 +132,22 @@ def _build_parser() -> _Parser:
 
 
 def _cap_or(args, default: int) -> int:
+    """The --cap flag, else CSLAB_CAP, else ``default``; a cap that is not
+    a nonnegative integer is a usage error naming where it came from."""
     if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("CSLAB_CAP")
-    if env is not None:
-        return int(env)
-    return default
+        source, text = "--cap", str(args.cap)
+    else:
+        text = os.environ.get("CSLAB_CAP")
+        if text is None:
+            return default
+        source = "CSLAB_CAP"
+    try:
+        cap = int(text)
+        if cap < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{source} must be a nonnegative integer, got {text!r}") from None
+    return cap
 
 
 def _print_json(payload: dict) -> None:
@@ -180,11 +191,12 @@ def _pretty_terms(payload: dict) -> None:
 
 
 def _cmd_csf(args) -> int:
+    cap = _cap_or(args, DEFAULT_DEGREE_CAP)
     G = parse_graph_spec(args.graph)
     result = compute_csf(G, args.route)
     f = result.value
     if f.basis != args.basis:
-        f = change_basis(f, args.basis, cap=_cap_or(args, DEFAULT_DEGREE_CAP))
+        f = change_basis(f, args.basis, cap=cap)
     payload = {"graph": args.graph, "route": result.route, **to_json_dict(f)}
     if args.pretty:
         print(f"{args.graph} via {result.route}")
@@ -195,11 +207,12 @@ def _cmd_csf(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
+    cap = _cap_or(args, DEFAULT_DEGREE_CAP)
     G = parse_graph_spec(args.graph)
     lam = parse_partition(args.partition)
     f = compute_csf(G, args.route).value
     if f.basis != args.basis:
-        f = change_basis(f, args.basis, cap=_cap_or(args, DEFAULT_DEGREE_CAP))
+        f = change_basis(f, args.basis, cap=cap)
     value = extract_coefficient(f, args.basis, lam)
     _print_json({
         "graph": args.graph,

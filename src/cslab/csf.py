@@ -1,13 +1,17 @@
 """Chromatic symmetric functions of graphs, by independent routes.
 
 The CSF of a graph G sums x_{c(v_1)} ... x_{c(v_n)} over all proper
-colorings c; it is homogeneous of degree n.  This module computes it three
+colorings c; it is homogeneous of degree n.  This module computes it four
 ways, which deliberately share no code path:
 
 - stable-m: sum over stable-partition types, a_lam times the multiplicity
   factorial, in the monomial basis;
 - edge-p: signed sum over edge subsets of the power sum indexed by the
-  component sizes;
+  component sizes (Stanley's formula), enumerating the subsets;
+- tree-p: the same power-sum formula on forests, by a dynamic programme on
+  each rooted component whose state is the size of the root's open
+  component and the sizes of the closed ones; it shares no code with
+  edge-p (neither its subset loop nor its union-find);
 - family-recurrence: closed recurrences in the elementary basis for paths,
   three-leg spiders, and the two-leaf odd double brooms, which stay sparse
   far beyond where full expansions are feasible.
@@ -34,14 +38,16 @@ from .graphs import (
     Graph,
     _adjacency_masks,
     _component_sizes,
+    connected_components,
     enumerate_stable_partitions,
+    is_forest,
     is_tree,
     spider_legs,
 )
 from .partitions import Partition, sort_to_partition
 from .symfunc import Coeff, SymFunc, change_basis
 
-ROUTES = ("stable-m", "edge-p", "family-recurrence")
+ROUTES = ("stable-m", "edge-p", "tree-p", "family-recurrence")
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,87 @@ def csf_via_edge_subsets(G: Graph) -> SymFunc:
     return SymFunc(
         "p", G.n, {Partition(key): c for key, c in tallies.items() if c}
     )
+
+
+def _merged(A: tuple, B: tuple) -> tuple:
+    return tuple(sorted(A + B, reverse=True))
+
+
+def _closed(table: dict) -> dict:
+    """Close the open component of every state: {sizes: signed count}."""
+    out: dict = {}
+    for (a, A), x in table.items():
+        key = _merged(A, (a,))
+        out[key] = out.get(key, 0) + x
+    return out
+
+
+def _join(table: dict, child: dict) -> dict:
+    """Attach a child's table to its parent's across their edge.  Keeping
+    the edge adds the open sizes and flips the sign; cutting it closes the
+    child's open component."""
+    cut = _closed(child)
+    out: dict = {}
+    for (a, A), x in table.items():
+        for (b, B), y in child.items():
+            key = (a + b, _merged(A, B))
+            out[key] = out.get(key, 0) - x * y
+        for B, y in cut.items():
+            key = (a, _merged(A, B))
+            out[key] = out.get(key, 0) + x * y
+    return {key: c for key, c in out.items() if c}
+
+
+def _rooted_table(root: int, masks: tuple) -> dict:
+    """DP table of the tree containing ``root``: (size of the root's open
+    component, descending sizes of the closed ones) -> signed count."""
+    order = [root]
+    children: dict = {}
+    seen = 1 << root
+    for v in order:
+        fresh = masks[v] & ~seen
+        seen |= fresh
+        kids = []
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            kids.append(bit.bit_length() - 1)
+        children[v] = kids
+        order.extend(kids)
+    tables: dict = {}
+    for v in reversed(order):
+        table = {(1, ()): 1}
+        for c in children[v]:
+            table = _join(table, tables.pop(c))
+        tables[v] = table
+    return tables[root]
+
+
+def csf_via_tree_dp(G: Graph) -> SymFunc:
+    """Power-sum-basis CSF of a forest: the edge-subset sum of edge-p,
+    evaluated by a dynamic programme over each rooted component instead of
+    over the 2^m subsets.  Components multiply, because p is
+    multiplicative."""
+    m = G.edge_count
+    if m > 24:
+        raise TooLarge(f"tree DP route is capped at 24 edges, got {m}")
+    components = connected_components(G)
+    if m != G.n - len(components):
+        raise BadSpec(
+            f"tree DP route needs a forest, got a graph with a cycle "
+            f"({G.n} vertices, {m} edges)"
+        )
+    masks = _adjacency_masks(G)
+    total: dict = {(): 1}
+    for component in components:
+        closed = _closed(_rooted_table(component[0], masks))
+        product: dict = {}
+        for A, x in total.items():
+            for B, y in closed.items():
+                key = _merged(A, B)
+                product[key] = product.get(key, 0) + x * y
+        total = product
+    return SymFunc("p", G.n, {Partition(key): c for key, c in total.items() if c})
 
 
 # -- path recurrence ----------------------------------------------------------
@@ -346,12 +433,14 @@ def _family_route(G: Graph) -> SymFunc:
 
 @lru_cache(maxsize=128)
 def _generic_csf(G: Graph, route: str) -> SymFunc:
-    """The stable-m or edge-p expansion of G, memoised so that every later
-    question about the same graph reuses it.  Family recurrences are not
-    memoised here: their term count grows with the number of partitions of
-    n, and their building blocks already sit in the ``path_csf_e`` memo."""
+    """The stable-m, edge-p or tree-p expansion of G, memoised so that every
+    later question about the same graph reuses it.  Family recurrences are
+    not memoised here: their term count grows with the number of partitions
+    of n, and their building blocks already sit in the ``path_csf_e`` memo."""
     if route == "stable-m":
         return csf_via_stable_partitions(G)
+    if route == "tree-p":
+        return csf_via_tree_dp(G)
     return csf_via_edge_subsets(G)
 
 
@@ -359,8 +448,8 @@ def compute_csf(G: Graph, route: str = "auto") -> CsfResult:
     """Compute the CSF by the requested route.
 
     "auto" prefers a family recurrence when one applies (sparse and fast),
-    then the stable-partition route up to 12 vertices, then the edge-subset
-    route up to 24 edges.
+    then the stable-partition route up to 12 vertices, then the tree DP on
+    forests and the edge-subset route on other graphs, both up to 24 edges.
     """
     choices = ("auto",) + ROUTES
     if route not in choices:
@@ -373,7 +462,7 @@ def compute_csf(G: Graph, route: str = "auto") -> CsfResult:
         if G.n <= 12:
             route = "stable-m"
         elif G.edge_count <= 24:
-            route = "edge-p"
+            route = "tree-p" if is_forest(G) else "edge-p"
         else:
             raise TooLarge(
                 f"no route can handle {G.n} vertices / {G.edge_count} edges exactly"

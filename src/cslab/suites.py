@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .csf import (
     csf_via_edge_subsets,
     csf_via_stable_partitions,
+    csf_via_tree_dp,
     path_csf_e,
     triple_deletion,
     wolfe_path_coefficient,
@@ -69,17 +70,27 @@ def _route_equivalence(seed: int, count: int):
             G = random_graph(n, 0.4, rng)
         stable = csf_via_stable_partitions(G)
         edges = csf_via_edge_subsets(G)
-        # m compares the two expansions; e and s also compare the direct
+        others = {"edge subsets": edges}
+        if case % 2:
+            tree = csf_via_tree_dp(G)
+            others["the tree DP"] = tree
+            if tree.terms != edges.terms:
+                failures.append(
+                    f"power-sum routes disagree on {_graph_spec(G)}: edge subsets gave "
+                    f"{edges.terms_sorted()}, the tree DP gave {tree.terms_sorted()}"
+                )
+        # m compares the expansions; e and s also compare the direct
         # power-sum conversions with triangular peeling from m.
         for basis in ("m", "e", "s"):
             from_stable = change_basis(stable, basis)
-            from_edges = change_basis(edges, basis)
-            if from_stable.terms != from_edges.terms:
-                failures.append(
-                    f"routes disagree in the {basis} basis on {_graph_spec(G)}: stable "
-                    f"partitions gave {from_stable.terms_sorted()}, edge subsets gave "
-                    f"{from_edges.terms_sorted()}"
-                )
+            for name, f in others.items():
+                converted = change_basis(f, basis)
+                if from_stable.terms != converted.terms:
+                    failures.append(
+                        f"routes disagree in the {basis} basis on {_graph_spec(G)}: stable "
+                        f"partitions gave {from_stable.terms_sorted()}, {name} gave "
+                        f"{converted.terms_sorted()}"
+                    )
     return count, failures
 
 

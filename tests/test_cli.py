@@ -52,6 +52,38 @@ class TestCsfVerb:
             assert code == 0
             assert json.loads(out)["route"] == route
 
+    def test_auto_takes_the_tree_dp_past_stable_range(self, capsys):
+        argv = ["csf", "--graph", "star:14", "--basis", "e"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        auto = json.loads(out)
+        assert auto["route"] == "tree-p"
+        code, out, _ = run_cli(argv + ["--route", "edge-p"], capsys)
+        assert code == 0
+        edges = json.loads(out)
+        assert edges["route"] == "edge-p"
+        assert auto["terms"] == edges["terms"]
+
+    def test_tree_dp_keeps_the_edge_cap(self, capsys):
+        code, _, err = run_cli(
+            ["csf", "--graph", "path:26", "--route", "tree-p"], capsys
+        )
+        assert code == 3
+        assert "capped" in err
+
+    def test_negative_cap_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["csf", "--graph", "claw", "--basis", "m", "--cap", "-3"], capsys
+        )
+        assert code == 1
+        assert "--cap" in err
+
+    def test_non_integer_cap_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CSLAB_CAP", "abc")
+        code, _, err = run_cli(["csf", "--graph", "claw", "--basis", "m"], capsys)
+        assert code == 1
+        assert "CSLAB_CAP" in err
+
     def test_bad_graph_spec_exits_one(self, capsys):
         code, _, err = run_cli(["csf", "--graph", "edges:2:0-5"], capsys)
         assert code == 1

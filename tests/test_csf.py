@@ -7,6 +7,7 @@ closed path-coefficient formula) is then cross-checked route against
 route.
 """
 
+import gc
 import random
 from math import factorial
 
@@ -19,6 +20,7 @@ from oracles import csf_by_colorings, expand_symfunc, odd_broom_e, pendant_spide
 from cslab import (
     BadSpec,
     DegreeMismatch,
+    Graph,
     NotStableTriple,
     Partition,
     ROUTES,
@@ -31,6 +33,7 @@ from cslab import (
     compute_csf,
     csf_via_edge_subsets,
     csf_via_stable_partitions,
+    csf_via_tree_dp,
     enumerate_partitions,
     extract_coefficient,
     parse_graph_spec,
@@ -42,6 +45,7 @@ from cslab import (
     wolfe_path_coefficient,
 )
 from cslab.csf import CsfResult
+from cslab.graphs import is_forest
 
 
 def e(parts, coeff=1):
@@ -107,7 +111,12 @@ class TestRouteAgreement:
     def test_stable_and_edge_routes_agree(self, spec):
         G = parse_graph_spec(spec)
         stable = csf_via_stable_partitions(G)
-        assert change_basis(csf_via_edge_subsets(G), "m") == stable
+        edges = csf_via_edge_subsets(G)
+        assert change_basis(edges, "m") == stable
+        if is_forest(G):
+            tree = csf_via_tree_dp(G)
+            assert tree.terms == edges.terms
+            assert change_basis(tree, "m") == stable
 
     @pytest.mark.parametrize(
         "spec", ["path:8", "spider:4,2,1", "spider:3,3,3", "dbroom:2,3,2", "claw"]
@@ -118,9 +127,11 @@ class TestRouteAgreement:
         assert result.route == "family-recurrence"
         assert change_basis(result.value, "m") == csf_via_stable_partitions(G)
 
-    def test_auto_prefers_family_then_stable_then_edges(self):
+    def test_auto_prefers_family_then_stable_then_tree_then_edges(self):
         assert compute_csf(build_family("path", 30)).route == "family-recurrence"
         assert compute_csf(build_family("cycle", 6)).route == "stable-m"
+        assert compute_csf(build_family("star", 14)).route == "tree-p"
+        assert compute_csf(parse_graph_spec("dbroom:3,8,3")).route == "tree-p"
         assert compute_csf(build_family("cycle", 14)).route == "edge-p"
         with pytest.raises(TooLarge):
             compute_csf(build_family("complete", 14))
@@ -139,6 +150,71 @@ class TestRouteAgreement:
             assert result.route == route
             expansions.append(change_basis(result.value, "m"))
         assert all(f == expansions[0] for f in expansions)
+
+
+def _random_forest(n: int, rng: random.Random):
+    """A random tree on n vertices with each edge dropped with chance 1/3."""
+    tree = random_tree(n, rng)
+    kept = frozenset(edge for edge in sorted(tree.edges) if rng.random() >= 1 / 3)
+    return Graph(n, kept)
+
+
+class TestTreeDp:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10**6))
+    def test_property_matches_edge_subsets_on_forests(self, n, seed):
+        G = _random_forest(n, random.Random(seed))
+        assert csf_via_tree_dp(G).terms == csf_via_edge_subsets(G).terms
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 10**6))
+    def test_property_counts_colorings(self, n, seed):
+        G = _random_forest(n, random.Random(seed))
+        assert expand_symfunc(csf_via_tree_dp(G), n) == csf_by_colorings(G, n)
+
+    @pytest.mark.parametrize("n, seed", [(14, 1), (15, 2), (16, 3)])
+    def test_matches_edge_subsets_past_stable_range(self, n, seed):
+        G = random_tree(n, random.Random(seed))
+        assert csf_via_tree_dp(G).terms == csf_via_edge_subsets(G).terms
+
+    def test_empty_and_single_vertex(self):
+        assert csf_via_tree_dp(Graph(0, frozenset())) == SymFunc.one("p")
+        single = csf_via_tree_dp(Graph(1, frozenset()))
+        assert single == SymFunc.single("p", Partition((1,)))
+
+    def test_isolated_vertices(self):
+        G = Graph(4, frozenset({(1, 2)}))
+        f = csf_via_tree_dp(G)
+        expected = {Partition((1, 1, 1, 1)): 1, Partition((2, 1, 1)): -1}
+        assert f.terms == expected
+        assert f.terms == csf_via_edge_subsets(G).terms
+
+    def test_forest_of_two_paths(self):
+        G = parse_graph_spec("edges:7:0-1,1-2,3-4,4-5,5-6")
+        f = csf_via_tree_dp(G)
+        assert f.terms == csf_via_edge_subsets(G).terms
+        # p is multiplicative, so the forest is the product of its paths.
+        p3 = csf_via_tree_dp(build_family("path", 3))
+        p4 = csf_via_tree_dp(build_family("path", 4))
+        assert f == p3 * p4
+
+    def test_rejects_graphs_with_cycles(self):
+        with pytest.raises(BadSpec):
+            csf_via_tree_dp(build_family("cycle", 5))
+        with pytest.raises(BadSpec):
+            compute_csf(build_family("cycle", 5), route="tree-p")
+
+    def test_leaves_no_cycles(self):
+        G = parse_graph_spec("dbroom:3,4,3")
+        csf_via_tree_dp(G)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                csf_via_tree_dp(G)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPathSeries:
@@ -235,8 +311,6 @@ class TestTripleDeletion:
 
     def test_matches_direct_expansion(self):
         G = self.build()
-        from cslab import Graph
-
         direct = csf_via_stable_partitions(
             Graph(7, G.edges | {(0, 2), (2, 4)})
         )

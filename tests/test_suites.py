@@ -2,7 +2,7 @@
 
 import pytest
 
-from cslab import SUITES, UnknownSuite, verify_suite
+from cslab import SUITES, UnknownSuite, csf_via_edge_subsets, verify_suite
 
 
 class TestVerifySuites:
@@ -39,6 +39,14 @@ class TestVerifySuites:
             count = 2 if name not in ("screener-soundness",) else None
             report = verify_suite(name, seed=1, count=count)
             assert report.passed, name
+
+    def test_route_equivalence_checks_the_tree_dp(self, monkeypatch):
+        monkeypatch.setattr(
+            "cslab.suites.csf_via_tree_dp", lambda G: csf_via_edge_subsets(G).scale(2)
+        )
+        report = verify_suite("route-equivalence", seed=3, count=4)
+        assert not report.passed
+        assert any("tree DP" in failure for failure in report.failures)
 
     def test_unknown_suite_is_rejected(self):
         with pytest.raises(UnknownSuite):
