@@ -14,7 +14,9 @@ ways, which deliberately share no code path:
   edge-p (neither its subset loop nor its union-find);
 - family-recurrence: closed recurrences in the elementary basis for paths,
   three-leg spiders, and the two-leaf odd double brooms, which stay sparse
-  far beyond where full expansions are feasible.
+  far beyond where full expansions are feasible.  They compute on plain
+  descending tuples over one bottom-up memo of the path series and build
+  one SymFunc per public call.
 
 ``compute_csf`` is the one place that chooses and runs a route; the
 generic routes are memoised per graph there, so every question asked of
@@ -44,7 +46,7 @@ from .graphs import (
     is_tree,
     spider_legs,
 )
-from .partitions import Partition, sort_to_partition
+from .partitions import Partition
 from .symfunc import Coeff, SymFunc, change_basis
 
 ROUTES = ("stable-m", "edge-p", "tree-p", "family-recurrence")
@@ -181,6 +183,30 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
 
 
 # -- path recurrence ----------------------------------------------------------
+#
+# The family recurrences compute on plain descending tuples held in dicts,
+# as the power-sum tables in ``symfunc`` do: a validated Partition and a
+# rebuilt SymFunc for every intermediate term cost more than the
+# arithmetic.  Each public call builds one SymFunc from its finished dict.
+
+#: e-terms of X(P_m) for m = 0, 1, ..., as {descending tuple: coefficient}.
+#: Filled bottom-up and never handed out: callers copy before adding.
+_PATH_TERMS: dict[int, dict] = {0: {(): 1}}
+
+
+def _path_terms(n: int) -> dict:
+    """e-terms of the n-vertex path, filling the memo up to n in a loop so
+    that no call recurses.  Every key m is stored only after all smaller
+    ones, so concurrent fillers compute the same tables."""
+    for m in range(len(_PATH_TERMS), n + 1):
+        out: dict = {(m,): 1}
+        for k in range(2, m + 1):
+            weight = k - 1
+            for lam, c in _PATH_TERMS[m - k].items():
+                key = tuple(sorted(lam + (k,), reverse=True))
+                out[key] = out.get(key, 0) + weight * c
+        _PATH_TERMS.setdefault(m, out)
+    return _PATH_TERMS[n]
 
 
 @lru_cache(maxsize=None)
@@ -189,20 +215,14 @@ def path_csf_e(n: int) -> SymFunc:
 
     X(P_0) = 1 (the empty graph's CSF is the empty product), and
     X(P_n) = e_n + sum over k in 2..n of (k-1) e_k X(P_{n-k}); the series
-    starts 1, e_1, 2 e_2, 3 e_3 + e_{2,1}, ...  All prefixes are memoized
-    because the spider and broom recurrences hit them constantly.
+    starts 1, e_1, 2 e_2, 3 e_3 + e_{2,1}, ...  The series is computed on
+    tuples into one memo, filled bottom-up in a loop so that no call
+    recurses.  The spider and broom recurrences read that memo, never the
+    SymFunc returned here, so a caller who mutates it cannot change them.
     """
     if n < 0:
         raise BadSpec(f"path length must be nonnegative, got {n}")
-    if n == 0:
-        return SymFunc.one("e")
-    tallies: dict = {Partition((n,)): 1}
-    for k in range(2, n + 1):
-        weight = k - 1
-        for lam, c in path_csf_e(n - k).terms.items():
-            key = sort_to_partition((k,) + tuple(lam))
-            tallies[key] = tallies.get(key, 0) + weight * c
-    return SymFunc("e", n, tallies)
+    return SymFunc("e", n, _path_terms(n))
 
 
 def wolfe_path_coefficient(lam, d: int) -> int:
@@ -245,26 +265,34 @@ def wolfe_path_coefficient(lam, d: int) -> int:
 # -- spider and broom recurrences ---------------------------------------------
 
 
-def _e_single(part: int) -> SymFunc:
-    return SymFunc.single("e", Partition((part,)))
+def _spider_terms(a: int, b: int, c: int) -> dict:
+    """e-terms of the spider S(a, b, c) as a fresh dict of descending
+    tuples: the path terms plus the signed pairwise products."""
+    n = a + b + c + 1
+    total = dict(_path_terms(n))
+    for i in range(1, c + 1):
+        for left, right, sign in ((i, n - i, 1), (b + i, n - b - i, -1)):
+            right_terms = _path_terms(right).items()
+            for lam, x in _path_terms(left).items():
+                x *= sign
+                for mu, y in right_terms:
+                    key = tuple(sorted(lam + mu, reverse=True))
+                    total[key] = total.get(key, 0) + x * y
+    return total
 
 
 def spider_csf(a: int, b: int, c: int) -> SymFunc:
     """Elementary-basis CSF of the three-leg spider with legs a >= b >= c.
 
     X(S(a,b,c)) = X(P_n) + sum over i in 1..c of
-    (X(P_i) X(P_{n-i}) - X(P_{b+i}) X(P_{n-b-i})) with n = a+b+c+1.
-    The result stays sparse (every term has at most one part equal to 1),
-    so this route reaches degrees far beyond the full-expansion cap.
+    (X(P_i) X(P_{n-i}) - X(P_{b+i}) X(P_{n-b-i})) with n = a+b+c+1,
+    summed on tuples straight into one dict.  The result stays sparse
+    (every term has at most one part equal to 1), so this route reaches
+    degrees far beyond the full-expansion cap.
     """
     if not (a >= b >= c >= 1):
         raise BadSpec(f"spider legs must satisfy a >= b >= c >= 1, got ({a}, {b}, {c})")
-    n = a + b + c + 1
-    total = path_csf_e(n)
-    for i in range(1, c + 1):
-        total = total + path_csf_e(i) * path_csf_e(n - i)
-        total = total - path_csf_e(b + i) * path_csf_e(n - b - i)
-    return total
+    return SymFunc("e", a + b + c + 1, _spider_terms(a, b, c))
 
 
 def broom_csf(middle: int) -> SymFunc:
@@ -273,23 +301,20 @@ def broom_csf(middle: int) -> SymFunc:
 
         e_1 X(br(2p, 2)) + X(br(2p+1, 2)) - 2 e_2 X(br(2p-1, 2)),
 
-    where each two-leaf broom is the spider S(h, 1, 1).
+    where each two-leaf broom br(h, 2) is the spider S(h, 1, 1); the three
+    are combined on the spiders' tuple dicts.
     """
     if middle < 1 or middle % 2 == 0:
         raise BadSpec(f"broom_csf needs an odd positive middle, got {middle}")
     p = (middle + 1) // 2
-
-    def two_leaf_broom(handle: int) -> SymFunc:
-        if handle == 0:
-            # br(0, 2) degenerates to the 3-vertex path.
-            return path_csf_e(3)
-        return spider_csf(handle, 1, 1)
-
-    return (
-        _e_single(1) * two_leaf_broom(2 * p)
-        + two_leaf_broom(2 * p + 1)
-        - (_e_single(2) * two_leaf_broom(2 * p - 1)).scale(2)
-    )
+    total = _spider_terms(2 * p + 1, 1, 1)
+    for lam, x in _spider_terms(2 * p, 1, 1).items():
+        key = lam + (1,)  # 1 is the smallest part, so the key stays sorted
+        total[key] = total.get(key, 0) + x
+    for lam, x in _spider_terms(2 * p - 1, 1, 1).items():
+        key = tuple(sorted(lam + (2,), reverse=True))
+        total[key] = total.get(key, 0) - 2 * x
+    return SymFunc("e", 2 * p + 4, total)
 
 
 # -- triple deletion ----------------------------------------------------------
@@ -436,7 +461,7 @@ def _generic_csf(G: Graph, route: str) -> SymFunc:
     """The stable-m, edge-p or tree-p expansion of G, memoised so that every
     later question about the same graph reuses it.  Family recurrences are
     not memoised here: their term count grows with the number of partitions
-    of n, and their building blocks already sit in the ``path_csf_e`` memo."""
+    of n, and their building blocks already sit in the path-series memo."""
     if route == "stable-m":
         return csf_via_stable_partitions(G)
     if route == "tree-p":

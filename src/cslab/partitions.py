@@ -19,13 +19,16 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        pts = tuple(int(p) for p in parts)
-        for i, p in enumerate(pts):
-            if p <= 0:
-                raise ValueError(f"partition parts must be positive, got {pts}")
-            if i and pts[i - 1] < p:
-                raise ValueError(f"partition parts must be weakly decreasing, got {pts}")
-        return super().__new__(cls, pts)
+        pts = tuple(map(int, parts))
+        # One check in C passes every valid tuple; the scan only runs to
+        # name the first offending part.
+        if pts and (pts[-1] <= 0 or list(pts) != sorted(pts, reverse=True)):
+            for i, p in enumerate(pts):
+                if p <= 0:
+                    raise ValueError(f"partition parts must be positive, got {pts}")
+                if i and pts[i - 1] < p:
+                    raise ValueError(f"partition parts must be weakly decreasing, got {pts}")
+        return tuple.__new__(cls, pts)
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ from .csf import (
     triple_deletion,
     wolfe_path_coefficient,
 )
-from .errors import UnknownSuite
+from .errors import BadSpec, UnknownSuite
 from .graphs import (
     Graph,
     chromatic_polynomial,
@@ -244,8 +244,11 @@ def verify_suite(name: str, seed: int = 0, count: int | None = None) -> SuiteRep
     """Run one named suite and report case count plus failures.
 
     ``count`` scales the randomized suites (instances) and the exhaustive
-    ones (maximum degree or size); None picks the documented default.
+    ones (maximum degree or size); None picks the documented default.  A
+    count below 1 is refused with BadSpec.
     """
+    if count is not None and count < 1:
+        raise BadSpec(f"the suite count (--count) must be at least 1, got {count}")
     if name == "route-equivalence":
         cases, failures = _route_equivalence(seed, count if count is not None else 20)
     elif name == "triple-deletion":

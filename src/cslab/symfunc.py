@@ -69,14 +69,16 @@ class SymFunc:
         if self.degree < 0:
             raise DegreeMismatch(f"degree must be nonnegative, got {self.degree}")
         clean: dict[Partition, Coeff] = {}
+        degree = self.degree
         for lam, c in self.terms.items():
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
-            if lam.n != self.degree:
+            if sum(lam) != degree:
                 raise DegreeMismatch(
-                    f"term {tuple(lam)} has size {lam.n}, not the declared degree {self.degree}"
+                    f"term {tuple(lam)} has size {lam.n}, not the declared degree {degree}"
                 )
-            c = _normalize_coeff(c)
+            if type(c) is not int:
+                c = _normalize_coeff(c)
             if c:
                 clean[lam] = c
         object.__setattr__(self, "terms", clean)
@@ -175,15 +177,9 @@ class SymFunc:
                     key = sort_to_partition(tuple(lam) + tuple(mu))
                     out[key] = out.get(key, 0) + a * b
             return SymFunc(self.basis, self.degree + other.degree, out)
-        if self.basis == "m":
-            out = {}
-            for lam, a in self.terms.items():
-                for mu, b in other.terms.items():
-                    ab = a * b
-                    for rho, c in _mono_product(lam, mu):
-                        out[rho] = out.get(rho, 0) + ab * c
-            return SymFunc("m", self.degree + other.degree, out)
-        raise BasisMismatch("products in the s basis are not supported; convert to m first")
+        raise BasisMismatch(
+            f"products in the {self.basis!r} basis are not supported; convert to e or p first"
+        )
 
     def __rmul__(self, other) -> "SymFunc":
         if isinstance(other, (int, Fraction)):
@@ -191,72 +187,7 @@ class SymFunc:
         return NotImplemented
 
 
-# -- monomial-basis products ------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _mono_product(nu: Partition, mu: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    """Structure constants of m_nu * m_mu in the monomial basis.
-
-    Each term of the product collapses a choice of overlap between the two
-    exponent multisets: every part of nu is paired with either a part of mu
-    or a fresh variable, and leftover parts of mu take fresh variables.  For
-    one pairing type, the number of realizations of a fixed target monomial
-    is a product of multinomials, one per resulting exponent value.
-    """
-    nu_vals = nu.multiplicities().pairs
-    mu_caps = dict(mu.multiplicities().pairs)
-    out: dict[Partition, int] = {}
-
-    def settle(pair_counts: dict[tuple[int, int], int]) -> None:
-        rho_parts: list[int] = []
-        by_value: dict[int, list[int]] = {}
-        for (a, b), cnt in pair_counts.items():
-            v = a + b
-            rho_parts.extend([v] * cnt)
-            by_value.setdefault(v, []).append(cnt)
-        weight = 1
-        for counts in by_value.values():
-            total = sum(counts)
-            ways = factorial(total)
-            for cnt in counts:
-                ways //= factorial(cnt)
-            weight *= ways
-        rho = Partition(sorted(rho_parts, reverse=True))
-        out[rho] = out.get(rho, 0) + weight
-
-    def distribute(i: int, caps: dict[int, int], pairs: dict[tuple[int, int], int]) -> None:
-        if i == len(nu_vals):
-            full = dict(pairs)
-            for b, c in caps.items():
-                if c:
-                    full[(0, b)] = c
-            settle(full)
-            return
-        a, need = nu_vals[i]
-        options = sorted(b for b, c in caps.items() if c > 0)
-
-        def split(j: int, left: int, caps_now: dict[int, int]) -> None:
-            if j == len(options):
-                if left:
-                    pairs[(a, 0)] = left
-                distribute(i + 1, caps_now, pairs)
-                pairs.pop((a, 0), None)
-                return
-            b = options[j]
-            for take in range(0, min(left, caps_now[b]) + 1):
-                if take:
-                    pairs[(a, b)] = take
-                    caps_now[b] -= take
-                split(j + 1, left - take, caps_now)
-                if take:
-                    caps_now[b] += take
-                    pairs.pop((a, b), None)
-
-        split(0, need, caps)
-
-    distribute(0, mu_caps, {})
-    return tuple(sorted(out.items(), reverse=True))
+# -- multiplying m-basis term dicts by one e_k or p_k -------------------------
 
 
 def _times_elementary(terms: Mapping[Partition, Coeff], k: int) -> dict[Partition, Coeff]:

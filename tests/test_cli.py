@@ -303,6 +303,14 @@ class TestVerifyVerb:
         assert code == 1
         assert "unknown suite" in err
 
+    def test_count_below_one_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--suite", "route-equivalence", "--count", "-5"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "--count" in err
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):

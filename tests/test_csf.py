@@ -282,6 +282,39 @@ class TestBroomIdentities:
             broom_csf(0)
 
 
+class TestRecurrencesPastStableRange:
+    """The recurrences against the tree DP at 14-20 vertices, past the
+    reach of the stable-m comparisons above."""
+
+    @pytest.mark.parametrize("legs", [(12, 4, 1), (15, 3, 1), (16, 1, 1), (10, 4, 2)])
+    def test_spider_matches_tree_dp(self, legs):
+        G = build_family("spider", *legs)
+        assert G.n > 12
+        assert spider_csf(*legs) == change_basis(csf_via_tree_dp(G), "e")
+
+    @pytest.mark.parametrize("middle", [9, 13, 15])
+    def test_odd_double_broom_matches_tree_dp(self, middle):
+        G = build_family("dbroom", 2, middle, 2)
+        assert G.n > 12
+        assert broom_csf(middle) == change_basis(csf_via_tree_dp(G), "e")
+
+    def test_mutating_a_result_leaves_later_answers_intact(self):
+        spider = dict(spider_csf(5, 3, 2).terms)
+        broom = dict(broom_csf(5).terms)
+        path = path_csf_e(7)
+        saved = dict(path.terms)
+        try:
+            spider_csf(5, 3, 2).terms.clear()
+            broom_csf(5).terms[Partition((10,))] = 99
+            # S(5, 3, 2) and br'(2, 5, 2) both use the 7-vertex path series.
+            path.terms.clear()
+            assert spider_csf(5, 3, 2).terms == spider
+            assert broom_csf(5).terms == broom
+            assert path_csf_e(8) == change_basis(csf_via_tree_dp(build_family("path", 8)), "e")
+        finally:
+            path.terms.update(saved)
+
+
 class TestTripleDeletion:
     def build(self):
         # A 7-vertex tree with 0, 2, 4 pairwise nonadjacent.

@@ -32,6 +32,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((3, -1))
 
+    @given(st.lists(st.integers(-2, 6), max_size=6))
+    def test_accepts_exactly_positive_weakly_decreasing_parts(self, parts):
+        valid = all(p > 0 for p in parts) and all(a >= b for a, b in zip(parts, parts[1:]))
+        if valid:
+            assert Partition(parts) == tuple(parts)
+        else:
+            with pytest.raises(ValueError):
+                Partition(parts)
+
     def test_empty_partition_of_zero(self):
         empty = Partition()
         assert empty.n == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cslab import SUITES, UnknownSuite, csf_via_edge_subsets, verify_suite
+from cslab import SUITES, BadSpec, UnknownSuite, csf_via_edge_subsets, verify_suite
 
 
 class TestVerifySuites:
@@ -51,3 +51,8 @@ class TestVerifySuites:
     def test_unknown_suite_is_rejected(self):
         with pytest.raises(UnknownSuite):
             verify_suite("no-such-suite")
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one_is_rejected(self, count):
+        with pytest.raises(BadSpec, match="--count"):
+            verify_suite("route-equivalence", seed=1, count=count)

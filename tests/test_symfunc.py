@@ -17,8 +17,6 @@ from oracles import (
     brute_kostka,
     expand_symfunc,
     falling_factorial,
-    monomial_poly,
-    poly_mul,
 )
 
 from cslab import (
@@ -87,13 +85,11 @@ class TestRingOperations:
         g = SymFunc.single(basis, Partition((2,)), 5)
         assert (f * g).terms == {Partition((3, 2, 1)): 5}
 
-    def test_m_product_matches_polynomial_product(self):
-        for lam in (Partition((2,)), Partition((1, 1)), Partition((2, 1))):
-            for mu in (Partition((1,)), Partition((2,)), Partition((1, 1))):
-                product = SymFunc.single("m", lam) * SymFunc.single("m", mu)
-                nv = lam.n + mu.n
-                direct = poly_mul(monomial_poly(lam, nv), monomial_poly(mu, nv))
-                assert expand_symfunc(product, nv) == direct, (lam, mu)
+    @pytest.mark.parametrize("basis", ["m", "s"])
+    def test_non_multiplicative_basis_product_raises(self, basis):
+        f = SymFunc.single(basis, Partition((2, 1)))
+        with pytest.raises(BasisMismatch):
+            f * SymFunc.single(basis, Partition((1,)))
 
 
 def to_m(basis, lam):
