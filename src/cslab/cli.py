@@ -36,6 +36,7 @@ from .graphs import parse_graph_spec
 from .partitions import parse_partition
 from .positivity import (
     DEFAULT_CONJECTURE_CAP,
+    DEFAULT_VERTEX_CAP,
     NO,
     UNKNOWN,
     check_conjecture,
@@ -45,7 +46,7 @@ from .positivity import (
 )
 from .rimhook import schur_coefficient
 from .suites import verify_suite
-from .symfunc import DEFAULT_DEGREE_CAP, change_basis, to_json_dict
+from .symfunc import DEFAULT_DEGREE_CAP, to_json_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,11 +194,8 @@ def _pretty_terms(payload: dict) -> None:
 def _cmd_csf(args) -> int:
     cap = _cap_or(args, DEFAULT_DEGREE_CAP)
     G = parse_graph_spec(args.graph)
-    result = compute_csf(G, args.route)
-    f = result.value
-    if f.basis != args.basis:
-        f = change_basis(f, args.basis, cap=cap)
-    payload = {"graph": args.graph, "route": result.route, **to_json_dict(f)}
+    result = compute_csf(G, args.route, args.basis, cap=cap)
+    payload = {"graph": args.graph, "route": result.route, **to_json_dict(result.value)}
     if args.pretty:
         print(f"{args.graph} via {result.route}")
         _pretty_terms(payload)
@@ -210,9 +208,7 @@ def _cmd_coeff(args) -> int:
     cap = _cap_or(args, DEFAULT_DEGREE_CAP)
     G = parse_graph_spec(args.graph)
     lam = parse_partition(args.partition)
-    f = compute_csf(G, args.route).value
-    if f.basis != args.basis:
-        f = change_basis(f, args.basis, cap=cap)
+    f = compute_csf(G, args.route, args.basis, cap=cap).value
     value = extract_coefficient(f, args.basis, lam)
     _print_json({
         "graph": args.graph,
@@ -254,7 +250,7 @@ def _expect_exit(verdicts) -> int:
 
 def _cmd_positivity(args) -> int:
     G = parse_graph_spec(args.graph)
-    cap = _cap_or(args, 12)
+    cap = _cap_or(args, DEFAULT_VERTEX_CAP)
     payload: dict = {"graph": args.graph}
     verdicts = []
     if args.basis in ("e", "both"):
@@ -310,9 +306,8 @@ def _sweep_row_fields(row) -> tuple:
 
 def _cmd_sweep(args) -> int:
     variable, lower, upper = _parse_range(args.range)
-    result = run_sweep(
-        args.family, variable, lower, upper, cap=_cap_or(args, 12), jobs=args.jobs
-    )
+    cap = _cap_or(args, DEFAULT_VERTEX_CAP)
+    result = run_sweep(args.family, variable, lower, upper, cap=cap, jobs=args.jobs)
     summary = "positive: " + ",".join(str(p) for p in result.e_positives)
     if args.out == "csv":
         buffer = io.StringIO()

@@ -18,7 +18,8 @@ ways, which deliberately share no code path:
   descending tuples over one bottom-up memo of the path series and build
   one SymFunc per public call.
 
-``compute_csf`` is the one place that chooses and runs a route; the
+``compute_csf`` is the one place that chooses and runs a route, from the
+graph and the target basis, and converts the result to that basis; the
 generic routes are memoised per graph there, so every question asked of
 the same graph shares one expansion.  Triple deletion is not a route: it
 rewrites a CSF along the identities relating the graphs obtained by adding
@@ -32,7 +33,7 @@ the monomial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .errors import BadSpec, DegreeMismatch, NotStableTriple, TooLarge
@@ -47,7 +48,7 @@ from .graphs import (
     spider_legs,
 )
 from .partitions import Partition
-from .symfunc import Coeff, SymFunc, change_basis
+from .symfunc import DEFAULT_DEGREE_CAP, Coeff, SymFunc, change_basis
 
 ROUTES = ("stable-m", "edge-p", "tree-p", "family-recurrence")
 
@@ -325,7 +326,7 @@ def _with_edges(G: Graph, extra) -> Graph:
 
 
 def _base_m(G: Graph) -> SymFunc:
-    return change_basis(compute_csf(G).value, "m")
+    return compute_csf(G, basis="m").value
 
 
 def triple_deletion(G: Graph, u: int, v: int, w: int, S) -> SymFunc:
@@ -438,22 +439,20 @@ def _double_broom_shape(G: Graph):
     return bundles[0], middle, bundles[1]
 
 
-def _family_route(G: Graph) -> SymFunc:
-    """Elementary-basis CSF when a closed family recurrence applies."""
+def _family_recurrence(G: Graph):
+    """The closed family recurrence for G as a call with no arguments, or
+    None when none applies."""
     if is_tree(G) and all(G.degree(v) <= 2 for v in range(G.n)):
-        return path_csf_e(G.n)
+        return partial(path_csf_e, G.n)
     legs = spider_legs(G)
     if legs is not None and legs.length == 3:
-        return spider_csf(*legs)
+        return partial(spider_csf, *legs)
     shape = _double_broom_shape(G)
     if shape is not None:
         left, middle, right = shape
         if left == 2 and right == 2 and middle % 2 == 1:
-            return broom_csf(middle)
-    raise BadSpec(
-        "no family recurrence applies: need a path, a three-leg spider, or "
-        "a double broom with two leaves per side and an odd middle"
-    )
+            return partial(broom_csf, middle)
+    return None
 
 
 @lru_cache(maxsize=128)
@@ -469,31 +468,48 @@ def _generic_csf(G: Graph, route: str) -> SymFunc:
     return csf_via_edge_subsets(G)
 
 
-def compute_csf(G: Graph, route: str = "auto") -> CsfResult:
-    """Compute the CSF by the requested route.
+def compute_csf(
+    G: Graph, route: str = "auto", basis: str | None = None, cap: int = DEFAULT_DEGREE_CAP
+) -> CsfResult:
+    """Compute the CSF by the requested route, in ``basis`` when one is
+    given (converted under the degree cap ``cap``), else in the route's own.
 
-    "auto" prefers a family recurrence when one applies (sparse and fast),
-    then the stable-partition route up to 12 vertices, then the tree DP on
-    forests and the edge-subset route on other graphs, both up to 24 edges.
+    "auto" picks the route from the graph and the target, in one fixed
+    order: a family recurrence when the target is e or not given (its
+    e-expansion needs no conversion), then the tree DP on forests with at
+    most 24 edges, stable-m up to 12 vertices, edge-p up to 24 edges, and
+    last a family recurrence for any target.
     """
     choices = ("auto",) + ROUTES
     if route not in choices:
         raise BadSpec(f"unknown route {route!r}; expected one of {choices}")
+    family = _family_recurrence(G) if route in ("auto", "family-recurrence") else None
     if route == "auto":
-        try:
-            return CsfResult(G, "family-recurrence", _family_route(G))
-        except BadSpec:
-            pass
-        if G.n <= 12:
+        if family and basis in (None, "e"):
+            route = "family-recurrence"
+        elif G.edge_count <= 24 and is_forest(G):
+            route = "tree-p"
+        elif G.n <= 12:
             route = "stable-m"
         elif G.edge_count <= 24:
-            route = "tree-p" if is_forest(G) else "edge-p"
+            route = "edge-p"
+        elif family:
+            route = "family-recurrence"
         else:
             raise TooLarge(
                 f"no route can handle {G.n} vertices / {G.edge_count} edges exactly"
             )
     if route == "family-recurrence":
-        return CsfResult(G, route, _family_route(G))
-    # The memo key ignores the graph's label (Graph equality does), so the
-    # result wraps the caller's graph, not the one first cached.
-    return CsfResult(G, route, _generic_csf(G, route))
+        if family is None:
+            raise BadSpec(
+                "no family recurrence applies: need a path, a three-leg spider, or "
+                "a double broom with two leaves per side and an odd middle"
+            )
+        value = family()
+    else:
+        # The memo key ignores the graph's label (Graph equality does), so the
+        # result wraps the caller's graph, not the one first cached.
+        value = _generic_csf(G, route)
+    if basis is not None and value.basis != basis:
+        value = change_basis(value, basis, cap=cap)
+    return CsfResult(G, route, value)

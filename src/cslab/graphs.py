@@ -29,7 +29,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from operator import add, itemgetter
 from typing import Iterator
 
@@ -583,24 +582,44 @@ def _component_sizes(n: int, edges) -> tuple:
     return tuple(sorted(sizes.values(), reverse=True))
 
 
-def _connected_sets(masks, allowed: int, seed: int, size: int) -> Iterator[int]:
-    """Bitmasks of connected size-`size` vertex sets containing `seed`
-    within `allowed`, each yielded exactly once."""
+def _connected_sets(
+    masks, allowed: int, size: int, cur: int, count: int, ext: int, banned: int
+) -> Iterator[int]:
+    """Bitmasks of connected ``size``-vertex sets within ``allowed`` that
+    grow the connected set ``cur`` of ``count`` vertices through the
+    frontier ``ext`` and avoid ``banned``, each yielded exactly once.  Start
+    from one seed vertex with its neighbours in ``allowed`` as the frontier.
+    """
+    if count == size:
+        yield cur
+        return
+    while ext:
+        vbit = ext & -ext
+        ext ^= vbit
+        grown = cur | vbit
+        fresh = masks[vbit.bit_length() - 1] & allowed & ~grown & ~banned & ~ext
+        yield from _connected_sets(
+            masks, allowed, size, grown, count + 1, ext | fresh, banned
+        )
+        banned |= vbit
 
-    def grow(cur: int, count: int, ext: int, banned: int) -> Iterator[int]:
-        if count == size:
-            yield cur
-            return
-        while ext:
-            vbit = ext & -ext
-            ext ^= vbit
-            v = vbit.bit_length() - 1
-            new_cur = cur | vbit
-            add = masks[v] & allowed & ~new_cur & ~banned & ~ext
-            yield from grow(new_cur, count + 1, ext | add, banned)
-            banned |= vbit
 
-    yield from grow(1 << seed, 1, masks[seed] & allowed, 0)
+def _connected_split(masks, unused: int, sizes: tuple) -> bool:
+    """True iff the vertex set ``unused`` splits into connected blocks of
+    the descending ``sizes``: the block of its lowest vertex is tried at
+    each distinct size, and the rest is split recursively."""
+    if not unused:
+        return True
+    seed = unused & -unused
+    frontier = masks[seed.bit_length() - 1] & unused
+    for idx, size in enumerate(sizes):
+        if idx and sizes[idx - 1] == size:
+            continue
+        rest = sizes[:idx] + sizes[idx + 1 :]
+        for block in _connected_sets(masks, unused, size, seed, 1, frontier, 0):
+            if _connected_split(masks, unused & ~block, rest):
+                return True
+    return False
 
 
 @lru_cache(maxsize=None)
@@ -610,46 +629,19 @@ def _has_connected_partition(G: Graph, lam: Partition) -> bool:
             raise TooLarge(
                 f"forest connected-partition search is capped at 20 vertices, got {G.n}"
             )
-        deletions = lam.length - len(connected_components(G))
-        if deletions < 0:
-            return False
-        edges = sorted(G.edges)
-        target = tuple(lam)
-        for kept in combinations(edges, len(edges) - deletions):
-            if _component_sizes(G.n, kept) == target:
-                return True
-        return False
-    if G.n > 16:
+    elif G.n > 16:
         raise TooLarge(
             f"connected-partition search is capped at 16 vertices, got {G.n}"
         )
-    masks = _adjacency_masks(G)
-
-    def solve(unused: int, sizes: tuple) -> bool:
-        if not unused:
-            return True
-        seed = (unused & -unused).bit_length() - 1
-        tried = set()
-        for idx, size in enumerate(sizes):
-            if size in tried:
-                continue
-            tried.add(size)
-            rest = sizes[:idx] + sizes[idx + 1 :]
-            for block in _connected_sets(masks, unused, seed, size):
-                if solve(unused & ~block, rest):
-                    return True
-        return False
-
-    return solve((1 << G.n) - 1, tuple(lam))
+    return _connected_split(_adjacency_masks(G), (1 << G.n) - 1, tuple(lam))
 
 
 def has_connected_partition(G: Graph, type_) -> bool:
     """True iff the vertices split into blocks of the given sizes, each
     inducing a connected subgraph.
 
-    On forests every edge is a bridge, so a split into k connected blocks
-    is a choice of edges to delete; the search enumerates those.  General
-    graphs use pruned connected-set backtracking.
+    A pruned backtracking search over connected vertex sets.  Forests are
+    searched up to 20 vertices, other graphs up to 16.
     """
     lam = Partition(type_)
     if lam.n != G.n:

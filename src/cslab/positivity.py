@@ -43,7 +43,6 @@ from .partitions import (
     sort_to_partition,
 )
 from .rimhook import schur_coefficient, schur_expansion_solve
-from .symfunc import SymFunc, change_basis
 
 YES = "yes"
 NO = "no"
@@ -266,27 +265,13 @@ def _connected_cover_trace(G: Graph):
     return ("connected-partition-cover", True, "every partition type is realized connectedly")
 
 
-def _e_expansion(G: Graph, cap: int) -> SymFunc | None:
-    """Full e-expansion when a route exists: the cheapest route up to the
-    vertex cap, family recurrences only above it."""
-    try:
-        if G.n <= cap:
-            value = compute_csf(G).value
-        else:
-            value = compute_csf(G, "family-recurrence").value
-    except (BadSpec, TooLarge):
-        return None
-    if value.basis != "e":
-        value = change_basis(value, "e", cap=max(G.n, 24))
-    return value
-
-
 def e_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityReport:
     """Decide e-positivity: screeners first, then a full e-expansion.
 
-    The expansion uses a family recurrence when the graph is a path, a
-    three-leg spider, or a two-leaf/two-leaf odd double broom, and the
-    generic routes otherwise (up to ``cap`` vertices).  A "no" verdict
+    The expansion comes from ``compute_csf`` in the e basis: by whatever
+    route it picks up to ``cap`` vertices, and above that only when a
+    family recurrence applies (a path, a three-leg spider, or a
+    two-leaf/two-leaf odd double broom).  A "no" verdict
     from an expansion carries the minimal coefficient as witness; if only
     a screener is in reach, its failure alone certifies "no".
     """
@@ -300,8 +285,11 @@ def e_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityReport:
     trace = tuple(trace)
     screeners_failed = any(not passed for _, passed, _ in trace)
 
-    expansion = _e_expansion(G, cap)
-    if expansion is None:
+    try:
+        expansion = compute_csf(
+            G, "auto" if G.n <= cap else "family-recurrence", "e", cap=max(G.n, 24)
+        ).value
+    except (BadSpec, TooLarge):
         verdict = NO if screeners_failed else UNKNOWN
         witness = None
         if screeners_failed and legs is not None and sum(1 for p in legs if p % 2) == 2:
@@ -365,12 +353,9 @@ def schur_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityRepor
     trace = (_balance_trace(G),)
     unbalanced = not trace[0][1]
 
-    if G.n <= cap:
-        try:
-            expansion = schur_expansion_solve(G, cap=cap)
-        except TooLarge:
-            expansion = None
-    else:
+    try:
+        expansion = schur_expansion_solve(G, cap=cap)
+    except TooLarge:
         expansion = None
 
     if expansion is not None:
@@ -480,13 +465,18 @@ def run_sweep(
 
     Each instance gets both positivity reports; instance errors are
     recorded on the row and the sweep continues.  Rows are merged in
-    parameter order regardless of ``jobs``.
+    parameter order regardless of ``jobs``.  No more worker processes are
+    started than there are instances, since the pool starts all of them
+    at its first task.
     """
     if upper < lower:
         raise BadSpec(f"empty sweep range {lower}..{upper}")
+    if jobs < 1:
+        raise BadSpec(f"the worker count (--jobs) must be at least 1, got {jobs}")
     tasks = [(family, variable, value, cap) for value in range(lower, upper + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_sweep_instance, tasks))
     else:
         rows = tuple(_sweep_instance(task) for task in tasks)

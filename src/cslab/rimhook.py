@@ -23,7 +23,7 @@ from .csf import compute_csf
 from .errors import DegreeMismatch, TooLarge
 from .graphs import Graph, count_stable_partitions
 from .partitions import Partition, enumerate_partitions, sort_to_partition
-from .symfunc import SymFunc, change_basis
+from .symfunc import SymFunc
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,13 @@ def schur_coefficient(G: Graph, lam):
 
 
 def schur_expansion_solve(G: Graph, cap: int = 12) -> SymFunc:
-    """Full Schur expansion by the linear-algebra route: the CSF from
-    ``compute_csf`` (its cheapest route, shared with every other question
-    about G) followed by a basis change.  Independent of the tabloid rule,
-    so agreement between the two is a real cross-check."""
+    """Full Schur expansion by the linear-algebra route: ``compute_csf``
+    with the s target, whose route and expansion are shared with every
+    other question about G, followed by its basis change.  Independent of
+    the tabloid rule, so agreement between the two is a real cross-check."""
     if G.n > cap:
         raise TooLarge(f"full Schur expansion is capped at {cap} vertices, got {G.n}")
-    return change_basis(compute_csf(G).value, "s", cap=max(cap, 24))
+    return compute_csf(G, basis="s", cap=max(cap, 24)).value
 
 
 def inverse_kostka_matrix(n: int):

@@ -122,13 +122,7 @@ class SymFunc:
         """
         if not self.terms:
             raise EmptyFunction("the zero function has no minimum coefficient")
-        best: tuple[Partition, Coeff] | None = None
-        for lam in sorted(self.terms):
-            c = self.terms[lam]
-            if best is None or c < best[1]:
-                best = (lam, c)
-        assert best is not None
-        return best
+        return min(self.terms.items(), key=lambda t: (t[1], t[0]))
 
     # -- ring operations ---------------------------------------------------
 

@@ -219,6 +219,38 @@ def brute_stable_type_counts(G) -> dict:
     return out
 
 
+def brute_connected_partition(G) -> set:
+    """The types lam for which G has a connected partition of type lam:
+    every set partition of the vertices whose blocks each induce a
+    connected subgraph, with connectivity checked by a walk inside the
+    block."""
+    neighbours = {v: set() for v in range(G.n)}
+    for u, v in G.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    connected: dict = {}
+
+    def is_connected(block: frozenset) -> bool:
+        if block not in connected:
+            start = next(iter(block))
+            seen, stack = {start}, [start]
+            while stack:
+                for w in neighbours[stack.pop()] & block - seen:
+                    seen.add(w)
+                    stack.append(w)
+            connected[block] = seen == block
+        return connected[block]
+
+    types = set()
+    for assign in set_partitions(G.n):
+        blocks = [set() for _ in range(max(assign) + 1 if assign else 0)]
+        for v, block in enumerate(assign):
+            blocks[block].add(v)
+        if all(is_connected(frozenset(block)) for block in blocks):
+            types.add(Partition(sorted(map(len, blocks), reverse=True)))
+    return types
+
+
 # -- family-recurrence oracles --------------------------------------------------
 # Elementary-basis CSFs of two small tree families by their one-step
 # edge-addition identities, built from a path series computed here from

@@ -237,6 +237,15 @@ class TestSweepVerb:
         _, parallel, _ = run_cli(argv + ["--jobs", "2"], capsys)
         assert serial == parallel
 
+    def test_jobs_below_one_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--family", "spider:a,2,1", "--range", "a=2..3", "--jobs", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err
+
     def test_bad_range_exits_one(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--family", "spider:a,2,1", "--range", "2..30"], capsys

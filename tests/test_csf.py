@@ -135,6 +135,25 @@ class TestRouteAgreement:
         assert compute_csf(build_family("cycle", 14)).route == "edge-p"
         with pytest.raises(TooLarge):
             compute_csf(build_family("complete", 14))
+        # With a target basis the family recurrence goes first only for e,
+        # whose expansion needs no conversion; forests otherwise take the
+        # tree DP, and graphs with a cycle keep stable-m or edge-p.
+        for basis in ("m", "e", "p", "s"):
+            spider = compute_csf(parse_graph_spec("spider:4,2,1"), basis=basis)
+            assert spider.route == ("family-recurrence" if basis == "e" else "tree-p")
+            assert spider.value.basis == basis
+            dbroom = compute_csf(parse_graph_spec("dbroom:2,3,3"), basis=basis)
+            assert dbroom.route == "tree-p"
+            assert compute_csf(build_family("cycle", 6), basis=basis).route == "stable-m"
+            assert compute_csf(build_family("cycle", 14), basis=basis).route == "edge-p"
+            with pytest.raises(TooLarge, match="no route"):
+                compute_csf(build_family("complete", 14), basis=basis)
+        # Past the tree DP's 24 edges the recurrence serves every target;
+        # here the basis change then meets its degree cap.
+        path = build_family("path", 30)
+        assert compute_csf(path, basis="e").route == "family-recurrence"
+        with pytest.raises(TooLarge, match="basis-change cap 24"):
+            compute_csf(path, basis="s")
 
     def test_unknown_route_is_rejected(self):
         with pytest.raises(BadSpec):
@@ -150,6 +169,39 @@ class TestRouteAgreement:
             assert result.route == route
             expansions.append(change_basis(result.value, "m"))
         assert all(f == expansions[0] for f in expansions)
+
+
+def _small_benchmark_specs() -> list:
+    """Every double broom of the 12-vertex census (2 <= L <= R, R >= 3)
+    and every member of the swept spider and double-broom families with at
+    most 12 vertices."""
+    census = [
+        f"dbroom:{left},{middle},{right}"
+        for left in range(2, 12)
+        for right in range(max(left, 3), 12)
+        for middle in range(1, 12)
+        if left + middle + right + 1 <= 12
+    ]
+    swept = [
+        template.replace(var, str(value))
+        for template, var, lower in (
+            ("spider:a,2,1", "a", 2), ("spider:a,4,1", "a", 4),
+            ("spider:a,4,2", "a", 4), ("spider:a,1,1", "a", 2),
+            ("dbroom:2,p,2", "p", 1), ("dbroom:2,p,3", "p", 1),
+        )
+        for value in range(lower, 12)
+    ]
+    return [
+        spec for spec in dict.fromkeys(census + swept) if parse_graph_spec(spec).n <= 12
+    ]
+
+
+@pytest.mark.parametrize("spec", _small_benchmark_specs())
+def test_target_basis_matches_stable_partitions(spec):
+    G = parse_graph_spec(spec)
+    stable = csf_via_stable_partitions(G)
+    for basis in ("e", "s"):
+        assert compute_csf(G, basis=basis).value == change_basis(stable, basis), basis
 
 
 def _random_forest(n: int, rng: random.Random):

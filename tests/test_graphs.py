@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_connected_partition,
     brute_stable_type_counts,
     chromatic_by_colorings,
     cycle_chromatic,
@@ -17,6 +18,7 @@ from oracles import (
     tree_chromatic,
 )
 
+import cslab.graphs
 from cslab import (
     BadSpec,
     Graph,
@@ -30,6 +32,7 @@ from cslab import (
     chromatic_polynomial,
     compute_csf,
     count_stable_partitions,
+    enumerate_partitions,
     enumerate_stable_partitions,
     has_connected_partition,
     parse_graph_spec,
@@ -226,14 +229,60 @@ class TestStablePartitions:
 class TestConnectedPartitions:
     def test_path_has_all_types(self):
         G = build_family("path", 7)
-        from cslab import enumerate_partitions
-
         assert all(has_connected_partition(G, lam) for lam in enumerate_partitions(7))
 
     def test_claw_misses_the_two_two_split(self):
         claw = build_family("claw")
         assert not has_connected_partition(claw, Partition((2, 2)))
         assert has_connected_partition(claw, Partition((3, 1)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from((0.2, 0.45, 0.7)), st.integers(0, 10**6))
+    def test_property_matches_brute_on_graphs(self, n, p, seed):
+        G = random_graph(n, p, random.Random(seed))
+        realized = brute_connected_partition(G)
+        for lam in enumerate_partitions(n):
+            assert has_connected_partition(G, lam) == (lam in realized), lam
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 10**6))
+    def test_property_matches_brute_on_forests(self, n, seed):
+        rng = random.Random(seed)
+        tree = random_tree(n, rng)
+        G = Graph(n, frozenset(e for e in sorted(tree.edges) if rng.random() >= 1 / 3))
+        realized = brute_connected_partition(G)
+        for lam in enumerate_partitions(n):
+            assert has_connected_partition(G, lam) == (lam in realized), lam
+
+    def test_twenty_vertex_forest_answers(self):
+        G = random_tree(20, random.Random(7))
+        assert has_connected_partition(G, Partition((20,)))
+        assert has_connected_partition(G, Partition((1,) * 20))
+        assert has_connected_partition(
+            build_family("path", 20), Partition((5, 5, 4, 3, 2, 1))
+        )
+        assert not has_connected_partition(build_family("star", 19), Partition((10, 10)))
+
+    @pytest.mark.parametrize("spec", ["spider:3,2,1", "cycle:7"])
+    def test_search_leaves_no_cycles(self, spec):
+        G = parse_graph_spec(spec)
+        search = cslab.graphs._has_connected_partition.__wrapped__
+        search(G, Partition((4, 3)))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                search(G, Partition((4, 3)))
+                search(G, Partition((2, 2, 2, 1)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_vertex_caps(self):
+        with pytest.raises(TooLarge, match="forest .* capped at 20 vertices"):
+            has_connected_partition(build_family("path", 21), Partition((21,)))
+        with pytest.raises(TooLarge, match="capped at 16 vertices"):
+            has_connected_partition(build_family("cycle", 17), Partition((17,)))
 
 
 class TestBipartition:

@@ -150,29 +150,39 @@ class TestOneExpansionPerGraph:
     """Both questions about one graph share its CSF expansion."""
 
     @pytest.fixture
-    def enumerations(self, monkeypatch):
+    def expansions(self, monkeypatch):
         calls = []
-        original = cslab.csf.enumerate_stable_partitions
+        for name, route in (
+            ("enumerate_stable_partitions", "stable-m"),
+            ("csf_via_tree_dp", "tree-p"),
+        ):
+            original = getattr(cslab.csf, name)
 
-        def counted(G):
-            calls.append(G)
-            return original(G)
+            def counted(G, original=original, route=route):
+                calls.append(route)
+                return original(G)
 
-        monkeypatch.setattr(cslab.csf, "enumerate_stable_partitions", counted)
+            monkeypatch.setattr(cslab.csf, name, counted)
         cslab.csf._generic_csf.cache_clear()
         return calls
 
-    def test_generic_graph_is_enumerated_once(self, enumerations):
+    def test_generic_graph_is_enumerated_once(self, expansions):
+        G = build_family("cycle", 8)
+        assert e_positivity(G).e_positive == YES
+        assert schur_positivity(G).schur_positive == YES
+        assert expansions == ["stable-m"]
+
+    def test_forest_is_expanded_once_by_the_tree_dp(self, expansions):
         G = parse_graph_spec("dbroom:3,2,4")
         assert e_positivity(G).e_positive == NO
         assert schur_positivity(G).schur_positive == NO
-        assert len(enumerations) == 1
+        assert expansions == ["tree-p"]
 
-    def test_spider_is_never_enumerated(self, enumerations):
+    def test_spider_is_never_enumerated(self, expansions):
         G = parse_graph_spec("spider:6,3,2")
         assert e_positivity(G).e_positive == NO
         assert schur_positivity(G).schur_positive == YES
-        assert enumerations == []
+        assert "stable-m" not in expansions
 
 
 class TestInternalContradictions:
@@ -208,6 +218,34 @@ class TestSweeps:
         serial = run_sweep("spider:a,4,2", "a", 4, 12, jobs=1)
         parallel = run_sweep("spider:a,4,2", "a", 4, 12, jobs=2)
         assert serial == parallel
+
+    def test_pool_is_no_larger_than_the_range(self, monkeypatch):
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cslab.positivity, "ProcessPoolExecutor", FakePool)
+        serial = run_sweep("spider:a,2,1", "a", 2, 3)
+        assert run_sweep("spider:a,2,1", "a", 2, 3, jobs=5000) == serial
+        assert pools == [2]
+        run_sweep("spider:a,2,1", "a", 2, 2, jobs=8)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_rejected(self, jobs):
+        with pytest.raises(BadSpec, match="--jobs"):
+            run_sweep("spider:a,2,1", "a", 2, 3, jobs=jobs)
 
     def test_unmatched_variable_yields_error_rows(self):
         result = run_sweep("spider:a,2,1", "b", 2, 4)
