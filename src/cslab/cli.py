@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import functools
 import io
 import json
 import os
@@ -71,7 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves no state in it."""
     parser = _Parser(prog="cslab", description=__doc__.splitlines()[0])
     verbs = parser.add_subparsers(dest="verb", required=True)
 

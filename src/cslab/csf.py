@@ -14,9 +14,11 @@ ways, which deliberately share no code path:
   edge-p (neither its subset loop nor its union-find);
 - family-recurrence: closed recurrences in the elementary basis for paths,
   three-leg spiders, and the two-leaf odd double brooms, which stay sparse
-  far beyond where full expansions are feasible.  They compute on plain
-  descending tuples over one bottom-up memo of the path series and build
-  one SymFunc per public call.
+  far beyond where full expansions are feasible.  They key their terms by
+  packed part-multiplicity integers, so a product of two terms is one
+  integer addition, over one bottom-up memo of the path series whose keys
+  each get their Partition once; they build one SymFunc per public call
+  and stop at 255 vertices, where a multiplicity would overflow its byte.
 
 ``compute_csf`` is the one place that chooses and runs a route, from the
 graph and the target basis, and converts the result to that basis; the
@@ -185,29 +187,79 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
 
 # -- path recurrence ----------------------------------------------------------
 #
-# The family recurrences compute on plain descending tuples held in dicts,
-# as the power-sum tables in ``symfunc`` do: a validated Partition and a
-# rebuilt SymFunc for every intermediate term cost more than the
-# arithmetic.  Each public call builds one SymFunc from its finished dict.
+# The family recurrences key their terms by packed multiplicity integers:
+# the multiplicity of part k takes the 8 bits at offset 8k, so the key of
+# e_lam e_mu is key(lam) + key(mu) and no product sorts anything.  A
+# multiplicity fits its byte only while the degree stays below 256.  Each
+# public call builds one SymFunc from its finished dict.  A key of the path
+# memo takes its Partition from the shapes table; any other key gets one
+# built from the two factor keys whose sum produced it, so every key is
+# still validated by Partition.
 
-#: e-terms of X(P_m) for m = 0, 1, ..., as {descending tuple: coefficient}.
+#: Largest degree whose part multiplicities all fit in one byte.
+_MAX_DEGREE = 255
+
+#: e-terms of X(P_m) for m = 0, 1, ..., as {packed key: coefficient}.
 #: Filled bottom-up and never handed out: callers copy before adding.
-_PATH_TERMS: dict[int, dict] = {0: {(): 1}}
+_PATH_TERMS: dict[int, dict[int, int]] = {0: {0: 1}}
+
+#: The Partition of every packed key in the path memo, each built once.
+_SHAPES: dict[int, Partition] = {0: Partition()}
+
+
+def _check_degree(n: int) -> None:
+    if n > _MAX_DEGREE:
+        raise TooLarge(
+            f"the family recurrences pack part multiplicities into bytes and "
+            f"stop at {_MAX_DEGREE} vertices, got {n}"
+        )
 
 
 def _path_terms(n: int) -> dict:
     """e-terms of the n-vertex path, filling the memo up to n in a loop so
     that no call recurses.  Every key m is stored only after all smaller
     ones, so concurrent fillers compute the same tables."""
+    shapes = _SHAPES
     for m in range(len(_PATH_TERMS), n + 1):
-        out: dict = {(m,): 1}
+        top = 1 << 8 * m
+        out: dict = {top: 1}
+        shapes[top] = Partition((m,))
+        get = out.get
         for k in range(2, m + 1):
             weight = k - 1
+            part = 1 << 8 * k
             for lam, c in _PATH_TERMS[m - k].items():
-                key = tuple(sorted(lam + (k,), reverse=True))
-                out[key] = out.get(key, 0) + weight * c
+                key = lam + part
+                old = get(key)
+                if old is None:
+                    out[key] = weight * c
+                    shapes[key] = Partition(sorted((*shapes[lam], k), reverse=True))
+                else:
+                    out[key] = old + weight * c
         _PATH_TERMS.setdefault(m, out)
     return _PATH_TERMS[n]
+
+
+def _shape(key: int, factors: dict) -> Partition:
+    """The Partition of a packed key: from the shapes table, or built from
+    the pair of factor keys that ``factors`` records for it."""
+    shape = _SHAPES.get(key)
+    if shape is None:
+        left, right = factors[key]
+        parts = _shape(left, factors) + _shape(right, factors)
+        shape = Partition(sorted(parts, reverse=True))
+    return shape
+
+
+def _e_function(n: int, terms: dict, factors: dict) -> SymFunc:
+    """The degree-n e-basis SymFunc of packed terms, zeros dropped."""
+    shapes = _SHAPES
+    out = {}
+    for key, c in terms.items():
+        if c:
+            shape = shapes.get(key)
+            out[_shape(key, factors) if shape is None else shape] = c
+    return SymFunc("e", n, out)
 
 
 @lru_cache(maxsize=None)
@@ -217,13 +269,17 @@ def path_csf_e(n: int) -> SymFunc:
     X(P_0) = 1 (the empty graph's CSF is the empty product), and
     X(P_n) = e_n + sum over k in 2..n of (k-1) e_k X(P_{n-k}); the series
     starts 1, e_1, 2 e_2, 3 e_3 + e_{2,1}, ...  The series is computed on
-    tuples into one memo, filled bottom-up in a loop so that no call
-    recurses.  The spider and broom recurrences read that memo, never the
-    SymFunc returned here, so a caller who mutates it cannot change them.
+    packed multiplicity keys into one memo, filled bottom-up in a loop so
+    that no call recurses, and each key's Partition is built once, when
+    the memo is filled.  The spider and broom recurrences read that memo,
+    never the SymFunc returned here, whose terms are read-only.  Raises
+    TooLarge past 255 vertices, where a multiplicity would overflow its
+    byte.
     """
     if n < 0:
         raise BadSpec(f"path length must be nonnegative, got {n}")
-    return SymFunc("e", n, _path_terms(n))
+    _check_degree(n)
+    return _e_function(n, _path_terms(n), {})
 
 
 def wolfe_path_coefficient(lam, d: int) -> int:
@@ -266,20 +322,28 @@ def wolfe_path_coefficient(lam, d: int) -> int:
 # -- spider and broom recurrences ---------------------------------------------
 
 
-def _spider_terms(a: int, b: int, c: int) -> dict:
-    """e-terms of the spider S(a, b, c) as a fresh dict of descending
-    tuples: the path terms plus the signed pairwise products."""
+def _spider_terms(a: int, b: int, c: int) -> tuple[dict, dict]:
+    """e-terms of the spider S(a, b, c) as a fresh dict of packed keys (the
+    path terms plus the signed pairwise products), and the factor pair of
+    each key that the path memo lacks."""
     n = a + b + c + 1
-    total = dict(_path_terms(n))
+    total = _path_terms(n).copy()
+    factors: dict = {}
+    get = total.get
     for i in range(1, c + 1):
         for left, right, sign in ((i, n - i, 1), (b + i, n - b - i, -1)):
             right_terms = _path_terms(right).items()
             for lam, x in _path_terms(left).items():
                 x *= sign
                 for mu, y in right_terms:
-                    key = tuple(sorted(lam + mu, reverse=True))
-                    total[key] = total.get(key, 0) + x * y
-    return total
+                    key = lam + mu
+                    old = get(key)
+                    if old is None:
+                        total[key] = x * y
+                        factors[key] = (lam, mu)
+                    else:
+                        total[key] = old + x * y
+    return total, factors
 
 
 def spider_csf(a: int, b: int, c: int) -> SymFunc:
@@ -287,13 +351,16 @@ def spider_csf(a: int, b: int, c: int) -> SymFunc:
 
     X(S(a,b,c)) = X(P_n) + sum over i in 1..c of
     (X(P_i) X(P_{n-i}) - X(P_{b+i}) X(P_{n-b-i})) with n = a+b+c+1,
-    summed on tuples straight into one dict.  The result stays sparse
-    (every term has at most one part equal to 1), so this route reaches
-    degrees far beyond the full-expansion cap.
+    summed on packed keys straight into one dict.  The result stays sparse
+    (every term has at most two parts equal to 1), so this route reaches
+    degrees far beyond the full-expansion cap.  Raises TooLarge past 255
+    vertices.
     """
     if not (a >= b >= c >= 1):
         raise BadSpec(f"spider legs must satisfy a >= b >= c >= 1, got ({a}, {b}, {c})")
-    return SymFunc("e", a + b + c + 1, _spider_terms(a, b, c))
+    n = a + b + c + 1
+    _check_degree(n)
+    return _e_function(n, *_spider_terms(a, b, c))
 
 
 def broom_csf(middle: int) -> SymFunc:
@@ -303,19 +370,29 @@ def broom_csf(middle: int) -> SymFunc:
         e_1 X(br(2p, 2)) + X(br(2p+1, 2)) - 2 e_2 X(br(2p-1, 2)),
 
     where each two-leaf broom br(h, 2) is the spider S(h, 1, 1); the three
-    are combined on the spiders' tuple dicts.
+    are combined on the spiders' packed dicts.  Raises TooLarge past 255
+    vertices.
     """
     if middle < 1 or middle % 2 == 0:
         raise BadSpec(f"broom_csf needs an odd positive middle, got {middle}")
     p = (middle + 1) // 2
-    total = _spider_terms(2 * p + 1, 1, 1)
-    for lam, x in _spider_terms(2 * p, 1, 1).items():
-        key = lam + (1,)  # 1 is the smallest part, so the key stays sorted
-        total[key] = total.get(key, 0) + x
-    for lam, x in _spider_terms(2 * p - 1, 1, 1).items():
-        key = tuple(sorted(lam + (2,), reverse=True))
-        total[key] = total.get(key, 0) - 2 * x
-    return SymFunc("e", 2 * p + 4, total)
+    n = 2 * p + 4
+    _check_degree(n)
+    total, factors = _spider_terms(2 * p + 1, 1, 1)
+    get = total.get
+    # The packed keys of e_1 and e_2.
+    for legs, part, scale in ((2 * p, 1 << 8, 1), (2 * p - 1, 1 << 16, -2)):
+        terms, more = _spider_terms(legs, 1, 1)
+        factors.update(more)
+        for lam, x in terms.items():
+            key = lam + part
+            old = get(key)
+            if old is None:
+                total[key] = scale * x
+                factors[key] = (lam, part)
+            else:
+                total[key] = old + scale * x
+    return _e_function(n, total, factors)
 
 
 # -- triple deletion ----------------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import BasisMismatch, DegreeMismatch, EmptyFunction, SingularSystem, TooLarge
@@ -56,7 +57,8 @@ class SymFunc:
 
     ``terms`` maps partitions of ``degree`` to nonzero coefficients; zero
     coefficients are dropped on construction and integral Fractions are
-    demoted to int.
+    demoted to int.  It is read-only, so a memoised result can be handed
+    to every caller: copy it with ``.copy()`` to build on it.
     """
 
     basis: str
@@ -81,7 +83,11 @@ class SymFunc:
                 c = _normalize_coeff(c)
             if c:
                 clean[lam] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled; rebuild from a plain dict.
+        return (SymFunc, (self.basis, self.degree, self.terms.copy()))
 
     # -- constructors ------------------------------------------------------
 
@@ -138,7 +144,7 @@ class SymFunc:
         if not isinstance(other, SymFunc):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for lam, c in other.terms.items():
             out[lam] = out.get(lam, 0) + c
         return SymFunc(self.basis, self.degree, out)
@@ -446,7 +452,7 @@ def _peel_from_m(fm: SymFunc, target: str) -> SymFunc:
     """
     expand = _EXPANSIONS[target]
     take_greatest = target in ("e", "s")
-    residual: dict[Partition, Coeff] = dict(fm.terms)
+    residual: dict[Partition, Coeff] = fm.terms.copy()
     out: dict[Partition, Coeff] = {}
     prev: Partition | None = None
     while residual:

@@ -45,6 +45,19 @@ class TestCsfVerb:
         assert code == 3
         assert "capped" in err
 
+    def test_recurrence_past_the_byte_width_exits_three(self, capsys):
+        code, out, err = run_cli(["csf", "--graph", "path:300", "--basis", "e"], capsys)
+        assert code == 3
+        assert "capped" in err and "255 vertices" in err
+        assert out == ""
+
+    def test_pretty_leaves_no_state_for_the_next_call(self, capsys):
+        code, out, _ = run_cli(["csf", "--graph", "path:4", "--pretty"], capsys)
+        assert code == 0 and "{" not in out
+        code, out, _ = run_cli(["csf", "--graph", "path:4"], capsys)
+        assert code == 0
+        assert json.loads(out)["basis"] == "m"
+
     def test_route_choices_are_the_library_routes(self, capsys):
         assert _ROUTE_CHOICES == ("auto",) + ROUTES
         for route in ROUTES:

@@ -44,6 +44,7 @@ from cslab import (
     triple_deletion,
     wolfe_path_coefficient,
 )
+from cslab import csf as csf_module
 from cslab.csf import CsfResult
 from cslab.graphs import is_forest
 
@@ -354,17 +355,83 @@ class TestRecurrencesPastStableRange:
         spider = dict(spider_csf(5, 3, 2).terms)
         broom = dict(broom_csf(5).terms)
         path = path_csf_e(7)
-        saved = dict(path.terms)
-        try:
+        with pytest.raises(AttributeError):
             spider_csf(5, 3, 2).terms.clear()
+        with pytest.raises(TypeError):
             broom_csf(5).terms[Partition((10,))] = 99
-            # S(5, 3, 2) and br'(2, 5, 2) both use the 7-vertex path series.
+        # S(5, 3, 2) and br'(2, 5, 2) both use the 7-vertex path series.
+        with pytest.raises(AttributeError):
             path.terms.clear()
-            assert spider_csf(5, 3, 2).terms == spider
-            assert broom_csf(5).terms == broom
-            assert path_csf_e(8) == change_basis(csf_via_tree_dp(build_family("path", 8)), "e")
-        finally:
-            path.terms.update(saved)
+        assert spider_csf(5, 3, 2).terms == spider
+        assert broom_csf(5).terms == broom
+        assert path_csf_e(8) == change_basis(csf_via_tree_dp(build_family("path", 8)), "e")
+
+
+@st.composite
+def _spider_legs(draw):
+    c = draw(st.integers(1, 5))
+    b = draw(st.integers(c, (17 - c) // 2))
+    a = draw(st.integers(b, 17 - b - c))
+    return a, b, c
+
+
+class TestPackedRecurrences:
+    """The recurrences on packed multiplicity keys: values pinned from the
+    tuple implementation they replaced, and the byte-width bound."""
+
+    @pytest.mark.parametrize(
+        "f, terms, lam, coeff",
+        [
+            (lambda: spider_csf(36, 2, 1), 15700, (5, 4) + (3,) * 9 + (2, 2), -3336960),
+            (lambda: spider_csf(34, 4, 1), 15700, (5,) * 7 + (3, 2), -86016),
+            (lambda: spider_csf(32, 4, 2), 13205, (5, 5) + (3,) * 9 + (2,), -800768),
+            (lambda: spider_csf(30, 1, 1), 4539, (5, 4, 4, 3, 3) + (2,) * 7, -900720),
+            (lambda: broom_csf(17), 616, (5, 4, 4, 3, 2, 2, 2), -6408),
+            (lambda: broom_csf(25), 3167, (6, 5, 4, 4, 3, 2, 2, 2, 2), -458640),
+        ],
+        ids=["S(36,2,1)", "S(34,4,1)", "S(32,4,2)", "S(30,1,1)", "br17", "br25"],
+    )
+    def test_pinned_values(self, f, terms, lam, coeff):
+        value = f()
+        assert len(value.terms) == terms
+        assert value.min_coefficient() == (Partition(lam), coeff)
+
+    def test_pinned_path_series(self):
+        f = path_csf_e(40)
+        assert len(f.terms) == 11323
+        assert sum(f.terms.values()) == 2**39
+
+    @settings(max_examples=40, deadline=None)
+    @given(_spider_legs())
+    def test_spider_matches_tree_dp(self, legs):
+        G = build_family("spider", *legs)
+        assert G.n <= 18
+        assert spider_csf(*legs) == change_basis(csf_via_tree_dp(G), "e")
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda: path_csf_e(0), lambda: path_csf_e(23), lambda: spider_csf(20, 6, 3),
+         lambda: spider_csf(9, 9, 9), lambda: broom_csf(1), lambda: broom_csf(21)],
+        ids=["P0", "P23", "S(20,6,3)", "S(9,9,9)", "br1", "br21"],
+    )
+    def test_keys_are_partitions_and_coefficients_nonzero(self, f):
+        value = f()
+        assert value.terms
+        for lam, c in value.terms.items():
+            assert type(lam) is Partition and lam.n == value.degree
+            assert c != 0
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda: path_csf_e(2000), lambda: path_csf_e(256),
+         lambda: spider_csf(200, 50, 5), lambda: broom_csf(251)],
+        ids=["P2000", "P256", "S(200,50,5)", "br251"],
+    )
+    def test_past_the_byte_width_raises_at_once(self, f):
+        filled = len(csf_module._PATH_TERMS)
+        with pytest.raises(TooLarge, match="255 vertices"):
+            f()
+        assert len(csf_module._PATH_TERMS) == filled
 
 
 class TestTripleDeletion:

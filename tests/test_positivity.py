@@ -112,6 +112,15 @@ class TestEPositivity:
         assert e_positivity(G).e_positive == UNKNOWN
         assert e_positivity(G, cap=14).e_positive == YES
 
+    def test_past_the_recurrence_byte_width_falls_back_to_screeners(self):
+        # 256 vertices: the spider recurrence raises TooLarge at once.
+        passing = e_positivity(build_family("spider", 238, 16, 1))
+        assert passing.e_positive == UNKNOWN
+        assert not passing.failed_screeners
+        failing = e_positivity(build_family("spider", 252, 2, 1))
+        assert failing.e_positive == NO
+        assert failing.failed_screeners
+
     def test_witness_partition_has_the_right_degree(self):
         report = e_positivity(build_family("spider", 4, 4, 2))
         assert report.e_positive == NO

@@ -6,7 +6,9 @@ claim to be the same function must restrict identically once nv reaches
 the degree.
 """
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -253,6 +255,22 @@ class TestSerialization:
     def test_coefficients_serialize_as_strings(self):
         payload = to_json_dict(SymFunc.single("m", Partition((2,)), 7))
         assert payload["terms"][0]["coeff"] == "7"
+
+    def test_pickle_round_trip(self):
+        f = SymFunc("e", 4, {Partition((2, 2)): Fraction(1, 3), Partition((4,)): -2})
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f
+        assert g.terms == {Partition((2, 2)): Fraction(1, 3), Partition((4,)): -2}
+
+    def test_deepcopy_is_equal(self):
+        f = SymFunc("s", 3, {Partition((2, 1)): 5})
+        assert copy.deepcopy(f) == f
+
+    def test_terms_equal_a_plain_dict(self):
+        terms = {Partition((3,)): 2, Partition((2, 1)): -1}
+        f = SymFunc("m", 3, terms)
+        assert f.terms == terms
+        assert terms == f.terms
 
 
 @settings(max_examples=60, deadline=None)
