@@ -16,9 +16,11 @@ ways, which deliberately share no code path:
   three-leg spiders, and the two-leaf odd double brooms, which stay sparse
   far beyond where full expansions are feasible.  They key their terms by
   packed part-multiplicity integers, so a product of two terms is one
-  integer addition, over one bottom-up memo of the path series whose keys
-  each get their Partition once; they build one SymFunc per public call
-  and stop at 255 vertices, where a multiplicity would overflow its byte.
+  integer addition, over one bottom-up memo of the path series.  A key is
+  decoded into its Partition from its own bytes: every key when a SymFunc
+  is wanted, only the keys holding the minimum when an e-positivity
+  verdict is.  They stop at 255 vertices, where a multiplicity would
+  overflow its byte.
 
 ``compute_csf`` is the one place that chooses and runs a route, from the
 graph and the target basis, and converts the result to that basis; the
@@ -34,7 +36,6 @@ the monomial basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import factorial
 
@@ -55,22 +56,34 @@ from .symfunc import DEFAULT_DEGREE_CAP, Coeff, SymFunc, change_basis
 ROUTES = ("stable-m", "edge-p", "tree-p", "family-recurrence")
 
 
-@dataclass(frozen=True)
 class CsfResult:
-    """A computed CSF together with the route that produced it."""
+    """A computed CSF together with the route that produced it.
 
-    graph: Graph
-    route: str
-    value: SymFunc
+    A family recurrence may hand over ``packed``, its (degree, packed
+    e-terms), instead of a SymFunc: ``value`` then decodes every key on
+    first read, while ``min_coefficient`` decodes only the keys that hold
+    the minimum.
+    """
 
-    def __post_init__(self) -> None:
-        if self.route not in ROUTES:
-            raise BadSpec(f"unknown route {self.route!r}; expected one of {ROUTES}")
-        if self.value.degree != self.graph.n:
-            raise DegreeMismatch(
-                f"CSF degree {self.value.degree} does not match "
-                f"vertex count {self.graph.n}"
-            )
+    def __init__(self, graph: Graph, route: str, value: SymFunc | None = None, packed=None):
+        if route not in ROUTES:
+            raise BadSpec(f"unknown route {route!r}; expected one of {ROUTES}")
+        degree = value.degree if packed is None else packed[0]
+        if degree != graph.n:
+            raise DegreeMismatch(f"CSF degree {degree} does not match vertex count {graph.n}")
+        self.graph, self.route, self._value, self._packed = graph, route, value, packed
+
+    @property
+    def value(self) -> SymFunc:
+        if self._value is None:
+            self._value = _e_function(*self._packed)
+        return self._value
+
+    def min_coefficient(self) -> tuple[Partition, Coeff]:
+        """``value.min_coefficient()``, without building ``value``."""
+        if self._value is None:
+            return _packed_min(*self._packed)
+        return self._value.min_coefficient()
 
 
 # -- base routes --------------------------------------------------------------
@@ -191,10 +204,9 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
 # the multiplicity of part k takes the 8 bits at offset 8k, so the key of
 # e_lam e_mu is key(lam) + key(mu) and no product sorts anything.  A
 # multiplicity fits its byte only while the degree stays below 256.  Each
-# public call builds one SymFunc from its finished dict.  A key of the path
-# memo takes its Partition from the shapes table; any other key gets one
-# built from the two factor keys whose sum produced it, so every key is
-# still validated by Partition.
+# recurrence returns (degree, packed terms); a key becomes a Partition only
+# when it is decoded, from its own bytes and through Partition, so every key
+# that reaches a caller is still validated.
 
 #: Largest degree whose part multiplicities all fit in one byte.
 _MAX_DEGREE = 255
@@ -202,9 +214,6 @@ _MAX_DEGREE = 255
 #: e-terms of X(P_m) for m = 0, 1, ..., as {packed key: coefficient}.
 #: Filled bottom-up and never handed out: callers copy before adding.
 _PATH_TERMS: dict[int, dict[int, int]] = {0: {0: 1}}
-
-#: The Partition of every packed key in the path memo, each built once.
-_SHAPES: dict[int, Partition] = {0: Partition()}
 
 
 def _check_degree(n: int) -> None:
@@ -219,47 +228,50 @@ def _path_terms(n: int) -> dict:
     """e-terms of the n-vertex path, filling the memo up to n in a loop so
     that no call recurses.  Every key m is stored only after all smaller
     ones, so concurrent fillers compute the same tables."""
-    shapes = _SHAPES
     for m in range(len(_PATH_TERMS), n + 1):
-        top = 1 << 8 * m
-        out: dict = {top: 1}
-        shapes[top] = Partition((m,))
+        out: dict = {1 << 8 * m: 1}
         get = out.get
         for k in range(2, m + 1):
             weight = k - 1
             part = 1 << 8 * k
             for lam, c in _PATH_TERMS[m - k].items():
                 key = lam + part
-                old = get(key)
-                if old is None:
-                    out[key] = weight * c
-                    shapes[key] = Partition(sorted((*shapes[lam], k), reverse=True))
-                else:
-                    out[key] = old + weight * c
+                out[key] = get(key, 0) + weight * c
         _PATH_TERMS.setdefault(m, out)
     return _PATH_TERMS[n]
 
 
-def _shape(key: int, factors: dict) -> Partition:
-    """The Partition of a packed key: from the shapes table, or built from
-    the pair of factor keys that ``factors`` records for it."""
-    shape = _SHAPES.get(key)
-    if shape is None:
-        left, right = factors[key]
-        parts = _shape(left, factors) + _shape(right, factors)
-        shape = Partition(sorted(parts, reverse=True))
-    return shape
+def _decode(key: int) -> Partition:
+    """The Partition of a packed key, peeled from its top byte down, so the
+    parts come out in decreasing order."""
+    parts: list = []
+    while key:
+        shift = (key.bit_length() - 1) & ~7
+        count = key >> shift
+        parts += [shift >> 3] * count
+        key -= count << shift
+    return Partition(parts)
 
 
-def _e_function(n: int, terms: dict, factors: dict) -> SymFunc:
-    """The degree-n e-basis SymFunc of packed terms, zeros dropped."""
-    shapes = _SHAPES
-    out = {}
-    for key, c in terms.items():
-        if c:
-            shape = shapes.get(key)
-            out[_shape(key, factors) if shape is None else shape] = c
-    return SymFunc("e", n, out)
+def _e_function(n: int, terms: dict) -> SymFunc:
+    """The degree-n e-basis SymFunc of packed terms, every nonzero key
+    decoded."""
+    return SymFunc("e", n, {_decode(key): c for key, c in terms.items() if c})
+
+
+def _packed_min(n: int, terms: dict) -> tuple[Partition, int]:
+    """``_e_function(n, terms).min_coefficient()``, decoding only the keys
+    that hold the smallest nonzero coefficient."""
+    low = min(filter(None, terms.values()), default=0)
+    return SymFunc("e", n, {_decode(k): c for k, c in terms.items() if c == low}).min_coefficient()
+
+
+def _path_packed(n: int) -> tuple[int, dict]:
+    """Degree and packed e-terms of the n-vertex path: the memo's own dict."""
+    if n < 0:
+        raise BadSpec(f"path length must be nonnegative, got {n}")
+    _check_degree(n)
+    return n, _path_terms(n)
 
 
 @lru_cache(maxsize=None)
@@ -270,16 +282,12 @@ def path_csf_e(n: int) -> SymFunc:
     X(P_n) = e_n + sum over k in 2..n of (k-1) e_k X(P_{n-k}); the series
     starts 1, e_1, 2 e_2, 3 e_3 + e_{2,1}, ...  The series is computed on
     packed multiplicity keys into one memo, filled bottom-up in a loop so
-    that no call recurses, and each key's Partition is built once, when
-    the memo is filled.  The spider and broom recurrences read that memo,
-    never the SymFunc returned here, whose terms are read-only.  Raises
-    TooLarge past 255 vertices, where a multiplicity would overflow its
-    byte.
+    that no call recurses; this call decodes the keys of degree n.  The
+    spider and broom recurrences read that memo, never the SymFunc
+    returned here, whose terms are read-only.  Raises TooLarge past 255
+    vertices, where a multiplicity would overflow its byte.
     """
-    if n < 0:
-        raise BadSpec(f"path length must be nonnegative, got {n}")
-    _check_degree(n)
-    return _e_function(n, _path_terms(n), {})
+    return _e_function(*_path_packed(n))
 
 
 def wolfe_path_coefficient(lam, d: int) -> int:
@@ -322,13 +330,14 @@ def wolfe_path_coefficient(lam, d: int) -> int:
 # -- spider and broom recurrences ---------------------------------------------
 
 
-def _spider_terms(a: int, b: int, c: int) -> tuple[dict, dict]:
-    """e-terms of the spider S(a, b, c) as a fresh dict of packed keys (the
-    path terms plus the signed pairwise products), and the factor pair of
-    each key that the path memo lacks."""
+def _spider_packed(a: int, b: int, c: int) -> tuple[int, dict]:
+    """Degree and packed e-terms of the spider S(a, b, c), as a fresh dict:
+    the path terms plus the signed pairwise products."""
+    if not (a >= b >= c >= 1):
+        raise BadSpec(f"spider legs must satisfy a >= b >= c >= 1, got ({a}, {b}, {c})")
     n = a + b + c + 1
+    _check_degree(n)
     total = _path_terms(n).copy()
-    factors: dict = {}
     get = total.get
     for i in range(1, c + 1):
         for left, right, sign in ((i, n - i, 1), (b + i, n - b - i, -1)):
@@ -337,13 +346,8 @@ def _spider_terms(a: int, b: int, c: int) -> tuple[dict, dict]:
                 x *= sign
                 for mu, y in right_terms:
                     key = lam + mu
-                    old = get(key)
-                    if old is None:
-                        total[key] = x * y
-                        factors[key] = (lam, mu)
-                    else:
-                        total[key] = old + x * y
-    return total, factors
+                    total[key] = get(key, 0) + x * y
+    return n, total
 
 
 def spider_csf(a: int, b: int, c: int) -> SymFunc:
@@ -351,16 +355,27 @@ def spider_csf(a: int, b: int, c: int) -> SymFunc:
 
     X(S(a,b,c)) = X(P_n) + sum over i in 1..c of
     (X(P_i) X(P_{n-i}) - X(P_{b+i}) X(P_{n-b-i})) with n = a+b+c+1,
-    summed on packed keys straight into one dict.  The result stays sparse
-    (every term has at most two parts equal to 1), so this route reaches
-    degrees far beyond the full-expansion cap.  Raises TooLarge past 255
-    vertices.
+    summed on packed keys straight into one dict, whose keys are decoded
+    once at the end.  The result stays sparse (every term has at most two
+    parts equal to 1), so this route reaches degrees far beyond the
+    full-expansion cap.  Raises TooLarge past 255 vertices.
     """
-    if not (a >= b >= c >= 1):
-        raise BadSpec(f"spider legs must satisfy a >= b >= c >= 1, got ({a}, {b}, {c})")
-    n = a + b + c + 1
-    _check_degree(n)
-    return _e_function(n, *_spider_terms(a, b, c))
+    return _e_function(*_spider_packed(a, b, c))
+
+
+def _broom_packed(middle: int) -> tuple[int, dict]:
+    """Degree and packed e-terms of the double broom br'(2, middle, 2)."""
+    if middle < 1 or middle % 2 == 0:
+        raise BadSpec(f"broom_csf needs an odd positive middle, got {middle}")
+    p = (middle + 1) // 2
+    n, total = _spider_packed(2 * p + 1, 1, 1)
+    get = total.get
+    # The packed keys of e_1 and e_2.
+    for legs, part, scale in ((2 * p, 1 << 8, 1), (2 * p - 1, 1 << 16, -2)):
+        for lam, x in _spider_packed(legs, 1, 1)[1].items():
+            key = lam + part
+            total[key] = get(key, 0) + scale * x
+    return n, total
 
 
 def broom_csf(middle: int) -> SymFunc:
@@ -373,26 +388,7 @@ def broom_csf(middle: int) -> SymFunc:
     are combined on the spiders' packed dicts.  Raises TooLarge past 255
     vertices.
     """
-    if middle < 1 or middle % 2 == 0:
-        raise BadSpec(f"broom_csf needs an odd positive middle, got {middle}")
-    p = (middle + 1) // 2
-    n = 2 * p + 4
-    _check_degree(n)
-    total, factors = _spider_terms(2 * p + 1, 1, 1)
-    get = total.get
-    # The packed keys of e_1 and e_2.
-    for legs, part, scale in ((2 * p, 1 << 8, 1), (2 * p - 1, 1 << 16, -2)):
-        terms, more = _spider_terms(legs, 1, 1)
-        factors.update(more)
-        for lam, x in terms.items():
-            key = lam + part
-            old = get(key)
-            if old is None:
-                total[key] = scale * x
-                factors[key] = (lam, part)
-            else:
-                total[key] = old + scale * x
-    return _e_function(n, total, factors)
+    return _e_function(*_broom_packed(middle))
 
 
 # -- triple deletion ----------------------------------------------------------
@@ -517,18 +513,18 @@ def _double_broom_shape(G: Graph):
 
 
 def _family_recurrence(G: Graph):
-    """The closed family recurrence for G as a call with no arguments, or
-    None when none applies."""
+    """The closed family recurrence for G as a call with no arguments that
+    returns (degree, packed e-terms), or None when none applies."""
     if is_tree(G) and all(G.degree(v) <= 2 for v in range(G.n)):
-        return partial(path_csf_e, G.n)
+        return partial(_path_packed, G.n)
     legs = spider_legs(G)
     if legs is not None and legs.length == 3:
-        return partial(spider_csf, *legs)
+        return partial(_spider_packed, *legs)
     shape = _double_broom_shape(G)
     if shape is not None:
         left, middle, right = shape
         if left == 2 and right == 2 and middle % 2 == 1:
-            return partial(broom_csf, middle)
+            return partial(_broom_packed, middle)
     return None
 
 
@@ -582,7 +578,9 @@ def compute_csf(
                 "no family recurrence applies: need a path, a three-leg spider, or "
                 "a double broom with two leaves per side and an odd middle"
             )
-        value = family()
+        if basis in (None, "e"):
+            return CsfResult(G, route, packed=family())
+        value = _e_function(*family())
     else:
         # The memo key ignores the graph's label (Graph equality does), so the
         # result wraps the caller's graph, not the one first cached.

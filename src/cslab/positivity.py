@@ -271,9 +271,10 @@ def e_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityReport:
     The expansion comes from ``compute_csf`` in the e basis: by whatever
     route it picks up to ``cap`` vertices, and above that only when a
     family recurrence applies (a path, a three-leg spider, or a
-    two-leaf/two-leaf odd double broom).  A "no" verdict
-    from an expansion carries the minimal coefficient as witness; if only
-    a screener is in reach, its failure alone certifies "no".
+    two-leaf/two-leaf odd double broom), whose minimum is read from its
+    packed terms.  A "no" verdict from an expansion carries the minimal
+    coefficient as witness; if only a screener is in reach, its failure
+    alone certifies "no".
     """
     trace = []
     legs = spider_legs(G)
@@ -288,7 +289,7 @@ def e_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityReport:
     try:
         expansion = compute_csf(
             G, "auto" if G.n <= cap else "family-recurrence", "e", cap=max(G.n, 24)
-        ).value
+        )
     except (BadSpec, TooLarge):
         verdict = NO if screeners_failed else UNKNOWN
         witness = None

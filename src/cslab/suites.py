@@ -203,10 +203,10 @@ def _srht_inverse_kostka(max_size: int):
 
 
 _SOUNDNESS_SWEEPS = (
-    ("spider:a,2,1", "a", 2, 30),
-    ("spider:a,4,1", "a", 4, 25),
+    ("spider:a,2,1", "a", 2, 36),
+    ("spider:a,4,1", "a", 4, 34),
     ("spider:a,8,1", "a", 8, 20),
-    ("spider:a,4,2", "a", 4, 25),
+    ("spider:a,4,2", "a", 4, 32),
     ("dbroom:2,p,2", "p", 1, 9),
 )
 

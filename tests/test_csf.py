@@ -368,11 +368,24 @@ class TestRecurrencesPastStableRange:
 
 
 @st.composite
-def _spider_legs(draw):
+def _spider_legs(draw, total=17):
+    """Legs a >= b >= c >= 1 of a spider with at most total + 1 vertices."""
     c = draw(st.integers(1, 5))
-    b = draw(st.integers(c, (17 - c) // 2))
-    a = draw(st.integers(b, 17 - b - c))
+    b = draw(st.integers(c, (total - c) // 2))
+    a = draw(st.integers(b, total - b - c))
     return a, b, c
+
+
+#: Every path, spider and double broom whose e-verdict family-sweep reads
+#: from a family recurrence, as (spec template, parameter values).
+_SWEEP_FAMILIES = [
+    ("path:{}", range(1, 41)),
+    ("spider:{},2,1", range(2, 37)),
+    ("spider:{},4,1", range(4, 35)),
+    ("spider:{},4,2", range(4, 33)),
+    ("spider:{},1,1", range(2, 31)),
+    ("dbroom:2,{},2", range(1, 10, 2)),
+]
 
 
 class TestPackedRecurrences:
@@ -380,21 +393,55 @@ class TestPackedRecurrences:
     tuple implementation they replaced, and the byte-width bound."""
 
     @pytest.mark.parametrize(
-        "f, terms, lam, coeff",
+        "f, spec, terms, lam, coeff",
         [
-            (lambda: spider_csf(36, 2, 1), 15700, (5, 4) + (3,) * 9 + (2, 2), -3336960),
-            (lambda: spider_csf(34, 4, 1), 15700, (5,) * 7 + (3, 2), -86016),
-            (lambda: spider_csf(32, 4, 2), 13205, (5, 5) + (3,) * 9 + (2,), -800768),
-            (lambda: spider_csf(30, 1, 1), 4539, (5, 4, 4, 3, 3) + (2,) * 7, -900720),
-            (lambda: broom_csf(17), 616, (5, 4, 4, 3, 2, 2, 2), -6408),
-            (lambda: broom_csf(25), 3167, (6, 5, 4, 4, 3, 2, 2, 2, 2), -458640),
+            (lambda: spider_csf(36, 2, 1), "spider:36,2,1", 15700,
+             (5, 4) + (3,) * 9 + (2, 2), -3336960),
+            (lambda: spider_csf(34, 4, 1), "spider:34,4,1", 15700, (5,) * 7 + (3, 2), -86016),
+            (lambda: spider_csf(32, 4, 2), "spider:32,4,2", 13205,
+             (5, 5) + (3,) * 9 + (2,), -800768),
+            (lambda: spider_csf(30, 1, 1), "spider:30,1,1", 4539,
+             (5, 4, 4, 3, 3) + (2,) * 7, -900720),
+            (lambda: broom_csf(17), "dbroom:2,17,2", 616, (5, 4, 4, 3, 2, 2, 2), -6408),
+            (lambda: broom_csf(25), "dbroom:2,25,2", 3167,
+             (6, 5, 4, 4, 3, 2, 2, 2, 2), -458640),
         ],
         ids=["S(36,2,1)", "S(34,4,1)", "S(32,4,2)", "S(30,1,1)", "br17", "br25"],
     )
-    def test_pinned_values(self, f, terms, lam, coeff):
+    def test_pinned_values(self, f, spec, terms, lam, coeff):
+        pinned = (Partition(lam), coeff)
+        assert compute_csf(parse_graph_spec(spec)).min_coefficient() == pinned
         value = f()
         assert len(value.terms) == terms
-        assert value.min_coefficient() == (Partition(lam), coeff)
+        assert value.min_coefficient() == pinned
+
+    @pytest.mark.parametrize(
+        "template, values", _SWEEP_FAMILIES, ids=[t for t, _ in _SWEEP_FAMILIES]
+    )
+    def test_packed_minimum_matches_materialised(self, template, values):
+        for value in values:
+            G = parse_graph_spec(template.format(value))
+            result = compute_csf(G)
+            assert result.route == "family-recurrence", G.label
+            packed = result.min_coefficient()
+            assert type(packed[0]) is Partition, G.label
+            assert packed == compute_csf(G).value.min_coefficient(), G.label
+
+    @settings(max_examples=25, deadline=None)
+    @given(_spider_legs(39))
+    def test_packed_minimum_matches_materialised_on_random_spiders(self, legs):
+        G = build_family("spider", *legs)
+        assert G.n <= 40
+        assert compute_csf(G).min_coefficient() == spider_csf(*legs).min_coefficient()
+
+    def test_path_memo_keys_decode_to_their_partition(self):
+        csf_module._path_terms(40)
+        for m in range(41):
+            for key in csf_module._PATH_TERMS[m]:
+                lam = csf_module._decode(key)
+                assert type(lam) is Partition and lam.n == m
+                pairs = lam.multiplicities().pairs
+                assert sum(count << 8 * part for part, count in pairs) == key
 
     def test_pinned_path_series(self):
         f = path_csf_e(40)

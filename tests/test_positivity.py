@@ -14,6 +14,7 @@ from cslab import (
     SweepRow,
     build_family,
     check_conjecture,
+    compute_csf,
     e_positivity,
     extract_coefficient,
     lemma_2odds_coefficient,
@@ -23,6 +24,7 @@ from cslab import (
     screen_spider,
     spider_csf,
 )
+from cslab.cli import main
 from cslab.positivity import NO, UNKNOWN, YES
 
 
@@ -192,6 +194,41 @@ class TestOneExpansionPerGraph:
         assert e_positivity(G).e_positive == NO
         assert schur_positivity(G).schur_positive == YES
         assert "stable-m" not in expansions
+
+
+class Materialised(Exception):
+    pass
+
+
+class TestPackedMinimum:
+    """An e-verdict from a family recurrence decodes only its witness."""
+
+    @pytest.fixture
+    def materialiser(self, monkeypatch):
+        def refuse(n, terms):
+            raise Materialised(f"{len(terms)} packed terms of degree {n}")
+
+        monkeypatch.setattr(cslab.csf, "_e_function", refuse)
+
+    @pytest.mark.parametrize(
+        "spec, lam, coeff",
+        [
+            ("spider:36,2,1", (5, 4) + (3,) * 9 + (2, 2), -3336960),
+            ("spider:34,4,1", (5,) * 7 + (3, 2), -86016),
+            ("dbroom:2,25,2", (6, 5, 4, 4, 3, 2, 2, 2, 2), -458640),
+        ],
+    )
+    def test_family_verdict_builds_no_function(self, materialiser, spec, lam, coeff):
+        report = e_positivity(parse_graph_spec(spec))
+        assert report.e_positive == NO
+        assert report.witness.partition == Partition(lam)
+        assert report.witness.coefficient == coeff
+
+    def test_full_expansions_still_materialise(self, materialiser):
+        with pytest.raises(Materialised):
+            compute_csf(parse_graph_spec("spider:6,3,2")).value
+        with pytest.raises(Materialised):
+            main(["csf", "--graph", "spider:6,3,2", "--basis", "e"])
 
 
 class TestInternalContradictions:
