@@ -139,6 +139,42 @@ def brute_kostka(shape, content) -> int:
     return sum(1 for c in ssyt_contents(shape, len(content)) if c == content)
 
 
+def brute_border_strips(nu, k: int) -> dict:
+    """Every shape lam containing nu with k more cells whose skew cells are
+    edge-connected and hold no 2x2 square, mapped to (-1)^(rows - 1)."""
+    nu = tuple(nu)
+    rows = len(nu) + k
+    bound = list(nu) + [0] * k
+    out: dict = {}
+
+    def shapes(i, left, prev):
+        if i == rows:
+            if not left:
+                yield ()
+            return
+        for width in range(bound[i], min(prev, bound[i] + left) + 1):
+            for rest in shapes(i + 1, left - (width - bound[i]), width):
+                yield (width,) + rest
+
+    for widths in shapes(0, k, (nu[0] if nu else 0) + k):
+        cells = {(r, c) for r, w in enumerate(widths) for c in range(bound[r], w)}
+        start = next(iter(cells))
+        seen, stack = {start}, [start]
+        while stack:
+            r, c = stack.pop()
+            for cell in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                if cell in cells and cell not in seen:
+                    seen.add(cell)
+                    stack.append(cell)
+        square = any(
+            {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells for r, c in cells
+        )
+        if seen == cells and not square:
+            lam = tuple(w for w in widths if w)
+            out[lam] = (-1) ** (len({r for r, _ in cells}) - 1)
+    return out
+
+
 def expand_symfunc(f: SymFunc, nv: int) -> dict:
     """The polynomial a symmetric function restricts to in nv variables."""
     total: dict = {}

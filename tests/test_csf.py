@@ -351,6 +351,11 @@ class TestRecurrencesPastStableRange:
         assert G.n > 12
         assert broom_csf(middle) == change_basis(csf_via_tree_dp(G), "e")
 
+    def test_spider_matches_tree_dp_past_the_default_cap(self):
+        G = parse_graph_spec("spider:19,4,1")
+        assert G.n == 25
+        assert change_basis(csf_via_tree_dp(G), "e", cap=25) == spider_csf(19, 4, 1)
+
     def test_mutating_a_result_leaves_later_answers_intact(self):
         spider = dict(spider_csf(5, 3, 2).terms)
         broom = dict(broom_csf(5).terms)

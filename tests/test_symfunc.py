@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_border_strips,
     brute_kostka,
     expand_symfunc,
     falling_factorial,
@@ -34,7 +35,9 @@ from cslab import (
     specialize_ones,
 )
 from cslab import symfunc
-from cslab.symfunc import _p_to_s_terms, _peel_from_m, _to_m, from_json_dict, to_json_dict
+from cslab.csf import csf_via_tree_dp
+from cslab.graphs import parse_graph_spec
+from cslab.symfunc import _add_border_strips, _peel_from_m, _to_m, from_json_dict, to_json_dict
 
 small_partitions = [
     lam for n in range(0, 7) for lam in enumerate_partitions(n)
@@ -178,7 +181,7 @@ class TestPowerSumConversions:
     @pytest.mark.parametrize("n", range(0, 9))
     def test_characters_are_orthonormal(self, n):
         shapes = list(enumerate_partitions(n))
-        chi = {mu: dict(_p_to_s_terms(mu)) for mu in shapes}
+        chi = {mu: change_basis(SymFunc.single("p", mu), "s").terms for mu in shapes}
         for lam in shapes:
             for nu in shapes:
                 inner = sum(
@@ -192,11 +195,66 @@ class TestPowerSumConversions:
         def lookups():
             return [t.cache_info().hits + t.cache_info().misses for t in tables]
 
-        f = SymFunc("p", 7, {Partition((4, 2, 1)): 3, Partition((1,) * 7): -1})
-        before = lookups()
-        change_basis(f, "e")
-        change_basis(f, "s")
-        assert lookups() == before
+        small = SymFunc("p", 7, {Partition((4, 2, 1)): 3, Partition((1,) * 7): -1})
+        tree = csf_via_tree_dp(parse_graph_spec("dbroom:3,9,3"))
+        assert tree.degree == 16
+        for f in (small, tree):
+            before = lookups()
+            change_basis(f, "e")
+            change_basis(f, "s")
+            assert lookups() == before
+
+    @pytest.mark.parametrize("target", ["e", "s"])
+    def test_constant_term(self, target):
+        f = SymFunc("p", 0, {Partition(): -7})
+        assert change_basis(f, target) == SymFunc(target, 0, {Partition(): -7})
+
+    @pytest.mark.parametrize("target", ["e", "s"])
+    def test_zero_function_keeps_its_degree(self, target):
+        g = change_basis(SymFunc.zero("p", 6), target)
+        assert g.is_zero
+        assert (g.basis, g.degree) == (target, 6)
+
+    @pytest.mark.parametrize("target", ["e", "s"])
+    def test_fraction_coefficients(self, target):
+        f = SymFunc(
+            "p",
+            4,
+            {
+                Partition((4,)): Fraction(1, 4),
+                Partition((2, 2)): Fraction(-1, 8),
+                Partition((2, 1, 1)): Fraction(1, 4),
+                Partition((1,) * 4): Fraction(1, 24),
+            },
+        )
+        g = change_basis(f, target)
+        assert polys_equal(f, g, 4)
+        assert g == _peel_from_m(_to_m(f), target)
+        assert any(isinstance(c, Fraction) for c in g.terms.values())
+
+    @pytest.mark.parametrize("n", [255, 300])
+    def test_multiplicities_past_a_byte(self, n):
+        # p_1 = e_1 and p_2 = e_1^2 - 2 e_2, so
+        # p_1^n + p_2 p_1^(n-2) = 2 e_1^n - 2 e_2 e_1^(n-2).
+        ones, two = Partition((1,) * n), Partition((2,) + (1,) * (n - 2))
+        f = SymFunc("p", n, {ones: 1, two: 1})
+        assert change_basis(f, "e", cap=n).terms == {ones: 2, two: -2}
+
+    def test_cancelling_terms_leave_no_zero_coefficients(self):
+        # p_1^2 - p_2 = 2 e_2 and = 2 s_{1,1}; the e_{1,1} and s_2 terms cancel.
+        f = SymFunc("p", 2, {Partition((1, 1)): 1, Partition((2,)): -1})
+        assert change_basis(f, "e").terms == {Partition((2,)): 2}
+        assert change_basis(f, "s").terms == {Partition((1, 1)): 2}
+
+
+class TestBorderStrips:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_brute_force(self, k):
+        for size in range(0, 11):
+            for nu in enumerate_partitions(size):
+                got = _add_border_strips(tuple(nu), k)
+                assert dict(got) == brute_border_strips(nu, k), (nu, k)
+                assert len(got) == len(dict(got)), (nu, k)
 
 
 class TestSpecializeOnes:
@@ -207,6 +265,22 @@ class TestSpecializeOnes:
             for k in range(0, 6):
                 expected = sum(expand_symfunc(f, k).values())
                 assert specialize_ones(f, k) == expected, (basis, lam, k)
+
+    def test_schur_hook_content_matches_the_m_route(self):
+        for n in range(0, 9):
+            for lam in enumerate_partitions(n):
+                f = SymFunc.single("s", lam, 3)
+                fm = _to_m(f)
+                for k in range(0, 7):
+                    assert specialize_ones(f, k) == specialize_ones(fm, k), (lam, k)
+
+    def test_schur_input_makes_no_kostka_lookups(self):
+        # s_{3,3,2,2} vanishes on three variables: it has four rows.
+        f = SymFunc("s", 10, {Partition((6, 3, 1)): 5, Partition((3, 3, 2, 2)): -2})
+        expected = specialize_ones(_to_m(f), 3)
+        before = symfunc.kostka_number.cache_info()
+        assert specialize_ones(f, 3) == expected
+        assert symfunc.kostka_number.cache_info() == before
 
     def test_schur_column_counts_binomials(self):
         # s_{1^n} = e_n, so k variables give C(k, n) fillings.
