@@ -9,9 +9,11 @@ ways, which deliberately share no code path:
 - edge-p: signed sum over edge subsets of the power sum indexed by the
   component sizes (Stanley's formula), enumerating the subsets;
 - tree-p: the same power-sum formula on forests, by a dynamic programme on
-  each rooted component whose state is the size of the root's open
-  component and the sizes of the closed ones; it shares no code with
-  edge-p (neither its subset loop nor its union-find);
+  each rooted component.  A state is one integer, packed like p->e terms:
+  the multiplicity of closed size k in the ``width`` bits at offset
+  width * k, and the root's open size in a top field above every part, so
+  keeping an edge adds two keys.  It shares no code with edge-p (neither
+  its subset loop nor its union-find) or with the recurrences;
 - family-recurrence: closed recurrences in the elementary basis for paths,
   three-leg spiders, and the two-leaf odd double brooms, which stay sparse
   far beyond where full expansions are feasible.  They key their terms by
@@ -51,7 +53,7 @@ from .graphs import (
     spider_legs,
 )
 from .partitions import Partition
-from .symfunc import DEFAULT_DEGREE_CAP, Coeff, SymFunc, change_basis
+from .symfunc import DEFAULT_DEGREE_CAP, Coeff, SymFunc, _unpack, change_basis
 
 ROUTES = ("stable-m", "edge-p", "tree-p", "family-recurrence")
 
@@ -117,38 +119,34 @@ def csf_via_edge_subsets(G: Graph) -> SymFunc:
     )
 
 
-def _merged(A: tuple, B: tuple) -> tuple:
-    return tuple(sorted(A + B, reverse=True))
+def _closed(key: int, top: int, width: int) -> int:
+    """Close the open component of a packed state: its size moves from the
+    top field into the multiplicity field of that part."""
+    size = key >> top
+    return key - (size << top) + (1 << width * size)
 
 
-def _closed(table: dict) -> dict:
-    """Close the open component of every state: {sizes: signed count}."""
-    out: dict = {}
-    for (a, A), x in table.items():
-        key = _merged(A, (a,))
-        out[key] = out.get(key, 0) + x
-    return out
-
-
-def _join(table: dict, child: dict) -> dict:
+def _join(table: dict, child: dict, top: int, width: int) -> dict:
     """Attach a child's table to its parent's across their edge.  Keeping
-    the edge adds the open sizes and flips the sign; cutting it closes the
-    child's open component."""
-    cut = _closed(child)
+    the edge adds the two keys (open sizes and closed parts alike) and
+    flips the sign; cutting it adds the child's closed key."""
+    moves: dict = {}
+    for key, y in child.items():
+        moves[key] = -y
+        cut = _closed(key, top, width)
+        moves[cut] = moves.get(cut, 0) + y
     out: dict = {}
-    for (a, A), x in table.items():
-        for (b, B), y in child.items():
-            key = (a + b, _merged(A, B))
-            out[key] = out.get(key, 0) - x * y
-        for B, y in cut.items():
-            key = (a, _merged(A, B))
-            out[key] = out.get(key, 0) + x * y
+    get = out.get
+    for kx, x in table.items():
+        for ky, y in moves.items():
+            key = kx + ky
+            out[key] = get(key, 0) + x * y
     return {key: c for key, c in out.items() if c}
 
 
-def _rooted_table(root: int, masks: tuple) -> dict:
-    """DP table of the tree containing ``root``: (size of the root's open
-    component, descending sizes of the closed ones) -> signed count."""
+def _rooted_table(root: int, masks: tuple, top: int, width: int) -> dict:
+    """DP table of the tree containing ``root``: packed state -> signed
+    count (the state packing is described in the module docstring)."""
     order = [root]
     children: dict = {}
     seen = 1 << root
@@ -164,9 +162,9 @@ def _rooted_table(root: int, masks: tuple) -> dict:
         order.extend(kids)
     tables: dict = {}
     for v in reversed(order):
-        table = {(1, ()): 1}
+        table = {1 << top: 1}
         for c in children[v]:
-            table = _join(table, tables.pop(c))
+            table = _join(table, tables.pop(c), top, width)
         tables[v] = table
     return tables[root]
 
@@ -186,16 +184,18 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
             f"({G.n} vertices, {m} edges)"
         )
     masks = _adjacency_masks(G)
-    total: dict = {(): 1}
+    width = max(8, G.n.bit_length())
+    top = width * (G.n + 1)
+    total: dict = {0: 1}
     for component in components:
-        closed = _closed(_rooted_table(component[0], masks))
+        table = _rooted_table(component[0], masks, top, width)
         product: dict = {}
-        for A, x in total.items():
-            for B, y in closed.items():
-                key = _merged(A, B)
+        for kx, x in total.items():
+            for ky, y in table.items():
+                key = kx + _closed(ky, top, width)
                 product[key] = product.get(key, 0) + x * y
         total = product
-    return SymFunc("p", G.n, {Partition(key): c for key, c in total.items() if c})
+    return SymFunc("p", G.n, {_unpack(key, width): c for key, c in total.items() if c})
 
 
 # -- path recurrence ----------------------------------------------------------

@@ -17,7 +17,6 @@ of reach instances are reported as skipped.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .csf import _double_broom_shape, compute_csf
@@ -477,6 +476,8 @@ def run_sweep(
     tasks = [(family, variable, value, cap) for value in range(lower, upper + 1)]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_sweep_instance, tasks))
     else:

@@ -16,8 +16,8 @@ e is multiplicative), and multiplying a Schur function by p_k adds signed
 border strips (the Murnaghan-Nakayama rule).  The whole function is
 converted at once, by Horner's rule over its parts, so its terms share the
 products of the parts they have in common.  On one core of a shared 2-core
-host (CPython 3.11, raw times, cold memos) p->e and p->s took 0.13 s and
-0.46 s with a peak RSS of 42 MB on the 24-vertex tree dbroom:2,18,3
+host (CPython 3.11, raw times, cold memos) p->e and p->s took 0.14 s and
+0.20 s with a peak RSS of 31 MB on the 24-vertex tree dbroom:2,18,3
 (1,558 power-sum terms), where converting term by term took 2.8 s and
 8.5 s and 701 MB.  Every other change of basis goes through m and then
 peels the reverse-lexicographically extreme term of the residual,
@@ -344,17 +344,17 @@ _EXPANSIONS = {
 # -- power sums straight into the e and s bases ------------------------------
 #
 # Both conversions run Horner's rule over the parts of the whole function:
-# f = sum over k of p_k g_k, where g_k holds f's terms whose smallest (for
-# s) or largest (for e) part is k, with that part taken out.  Each g_k is
-# converted the same way and multiplied by p_k once, so terms that share
-# parts share the work of converting them.  A group holding a single term
-# takes that term's memoised row instead; only such lone terms are
-# memoised, and small functions consist mostly of them.  The s tables key
-# shapes by plain sorted tuples, which hash and compare equal to the
-# matching Partition; the e tables key terms by packed multiplicity
+# f = sum over k of p_k g_k, where g_k holds f's terms whose largest part
+# is k, with that part taken out.  Each g_k is converted the same way and
+# multiplied by p_k once, so terms that share parts share the work of
+# converting them.  A group holding a single term takes that term's
+# memoised row instead; only such lone terms are memoised, and small
+# functions consist mostly of them.  The s tables key shapes by degree-n
+# beta-sets, bitmasks with the bead of row i at bit lam_i - i + n, so adding
+# a k-strip moves one bead k places up (the abacus form of
+# Murnaghan-Nakayama); the e tables key terms by packed multiplicity
 # integers, so a product of two terms is one integer addition.  The keys of
-# the result become Partitions only at the end, each through a memo, since
-# small functions would otherwise spend much of their time validating them.
+# the result become Partitions only at the end, each through a memo.
 
 
 @lru_cache(maxsize=None)
@@ -426,71 +426,69 @@ def _unpack(key: int, width: int) -> Partition:
     return Partition(parts)
 
 
-#: The Partition of a plain sorted tuple, validated once per shape.
-_shape = lru_cache(maxsize=None)(Partition)
+@lru_cache(maxsize=None)
+def _beads_shape(beads: int, n: int) -> Partition:
+    """The Partition of a degree-n beta-set: the bead of row i sits at bit
+    lam_i - i + n, so the beads read from the top give the rows in order."""
+    bits = [i for i in range(beads.bit_length()) if beads >> i & 1][::-1]
+    return Partition(bit + i - n for i, bit in enumerate(bits) if bit + i > n)
 
 
 @lru_cache(maxsize=None)
-def _add_border_strips(nu: tuple, k: int) -> tuple[tuple[tuple, int], ...]:
-    """Each shape lam with lam/nu a border strip of k cells, with the sign
-    (-1)^(rows of the strip - 1).
+def _add_strips(beads: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Each beta-set whose shape adds a border strip of k cells to the shape
+    of ``beads``, with the sign (-1)^(rows of the strip - 1).
 
-    On nu's beta-set (row i holds the bead nu_i - i) a strip is one bead
-    moved k places up to a free position.  When the bead of row i lands at
-    row j, the strip spans rows j..i: row j gets the moved bead and rows
-    j..i-1 each move down a row and gain one cell, so lam is nu sliced
-    around them.  A strip ends at most k rows below the last row of nu.
+    Adding a k-strip moves one bead k places up to a free position; the
+    strip's rows are that bead's row and the rows of the beads it jumps.
     """
-    rows = nu + (0,) * k
+    movable = beads & ~beads >> k
     out = []
-    for i in range(len(nu) + k):
-        top = rows[i] - i + k
-        j = i
-        while j and rows[j - 1] - j + 1 < top:
-            j -= 1
-        if j and rows[j - 1] - j + 1 == top:
-            continue
-        lam = nu[:j] + (top + j,) + tuple(part + 1 for part in rows[j:i]) + nu[i + 1 :]
-        out.append((lam, -1 if (i - j) % 2 else 1))
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        jumped = (beads & (low << k) - (low << 1)).bit_count()
+        out.append((beads ^ low ^ low << k, -1 if jumped & 1 else 1))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _p_to_s_row(mu: tuple) -> tuple[tuple[tuple, Coeff], ...]:
-    """p_mu in the s basis; the coefficient of s_lam is the character
-    chi^lam(mu).  The row of mu without its smallest part k gains the
-    border strips of size k: p_k s_nu is the signed sum of s_lam over the
-    strips lam/nu (Murnaghan-Nakayama)."""
+def _p_to_s_row(mu: tuple, n: int) -> tuple[tuple[int, Coeff], ...]:
+    """p_mu in the s basis, as degree-n beta-sets; the coefficient of s_lam
+    is the character chi^lam(mu).  The row of mu without its largest part
+    k gains the border strips of size k: p_k s_nu is the signed sum of
+    s_lam over the strips lam/nu (Murnaghan-Nakayama)."""
     if not mu:
-        return (((), 1),)
-    out: dict[tuple, Coeff] = {}
+        # The empty shape: its n beads fill bits 1..n.
+        return (((1 << n + 1) - 2, 1),)
+    out: dict[int, Coeff] = {}
     get = out.get
-    k = mu[-1]
-    for nu, c in _p_to_s_row(mu[:-1]):
-        for lam, sign in _add_border_strips(nu, k):
+    k = mu[0]
+    for nu, c in _p_to_s_row(mu[1:], n):
+        for lam, sign in _add_strips(nu, k):
             out[lam] = get(lam, 0) + sign * c
     return tuple((lam, c) for lam, c in out.items() if c)
 
 
-def _p_to_s(terms: Mapping[tuple, Coeff]) -> dict[tuple, Coeff]:
-    """The s-terms of the p-terms ``terms``: group them by their smallest
-    part k, convert each group's remainder the same way, and add the
-    k-border strips once per group."""
+def _p_to_s(terms: Mapping[tuple, Coeff], n: int) -> dict[int, Coeff]:
+    """The s-terms of the p-terms ``terms``, keyed by degree-n beta-sets:
+    group them by their largest part k, convert each group's remainder the
+    same way, and add the k-border strips once per group."""
     groups: dict[tuple, dict[tuple, Coeff]] = {}
     for mu, c in terms.items():
-        groups.setdefault(mu[-1:], {})[mu] = c
-    out: dict[tuple, Coeff] = {}
+        groups.setdefault(mu[:1], {})[mu] = c
+    out: dict[int, Coeff] = {}
     get = out.get
-    for last, group in groups.items():
+    for first, group in groups.items():
         if len(group) == 1:
             [(mu, c)] = group.items()
-            for lam, d in _p_to_s_row(mu):
+            for lam, d in _p_to_s_row(mu, n):
                 out[lam] = get(lam, 0) + c * d
             continue
-        k = last[0]
-        for nu, c in _p_to_s({mu[:-1]: c for mu, c in group.items()}).items():
+        k = first[0]
+        for nu, c in _p_to_s({mu[1:]: c for mu, c in group.items()}, n).items():
             if c:
-                for lam, sign in _add_border_strips(nu, k):
+                for lam, sign in _add_strips(nu, k):
                     out[lam] = get(lam, 0) + sign * c
     return out
 
@@ -498,7 +496,8 @@ def _p_to_s(terms: Mapping[tuple, Coeff]) -> dict[tuple, Coeff]:
 def _from_p(f: SymFunc, target: str) -> SymFunc:
     """The power-sum function f in the e or s basis."""
     if target == "s":
-        return SymFunc("s", f.degree, {_shape(lam): c for lam, c in _p_to_s(f.terms).items() if c})
+        n = f.degree
+        return SymFunc("s", n, {_beads_shape(lam, n): c for lam, c in _p_to_s(f.terms, n).items() if c})
     # Bits per part multiplicity: a byte, as in the family recurrences,
     # unless a multiplicity could overflow it.
     width = max(8, f.degree.bit_length())
@@ -573,7 +572,7 @@ def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymF
 
     A power-sum f goes straight to e (Newton's identity) or s (border
     strips), by Horner's rule over its parts: at 24 vertices a tree's
-    p->e and p->s take about 0.1 s and 0.5 s.  Every other pair goes
+    p->e and p->s take about 0.14 s and 0.2 s.  Every other pair goes
     through the monomial basis and, unless m is the target, triangular
     peeling from there.  Refuses degrees above ``cap``: the number of
     partitions, and with it the implicit transition system, grows too

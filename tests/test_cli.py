@@ -179,6 +179,21 @@ class TestPositivityVerb:
         assert done.returncode == 141
         assert done.stderr == b""
 
+    def test_import_loads_no_process_pool(self):
+        # Only a sweep with more than one worker needs the pool, so a plain
+        # import must not pay for loading multiprocessing.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys, cslab, cslab.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_unknown_at_cap_exits_three(self, capsys):
         code, out, _ = run_cli(
             ["positivity", "--graph", "spider:9,2,1", "--basis", "s",

@@ -9,7 +9,7 @@ route.
 
 import gc
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +234,39 @@ class TestTreeDp:
         assert csf_via_tree_dp(Graph(0, frozenset())) == SymFunc.one("p")
         single = csf_via_tree_dp(Graph(1, frozenset()))
         assert single == SymFunc.single("p", Partition((1,)))
+
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_edgeless_graphs(self, n):
+        # p_{1^300} holds a multiplicity past one byte, so the field widens.
+        f = csf_via_tree_dp(Graph(n, frozenset()))
+        assert f == SymFunc.single("p", Partition((1,) * n))
+
+    def test_star_at_the_edge_cap(self):
+        # Keeping j of the 24 edges joins the centre and j leaves, so
+        # X(star:24) is the sum over j of (-1)^j C(24, j) p_{j+1, 1^(24-j)}.
+        f = csf_via_tree_dp(parse_graph_spec("star:24"))
+        assert f.terms == {
+            Partition((j + 1,) + (1,) * (24 - j)): (-1) ** j * comb(24, j) for j in range(25)
+        }
+
+    def test_forest_of_one_to_six_vertex_trees(self):
+        rng = random.Random(7)
+        trees = [random_tree(n, rng) for n in range(1, 7)]
+        edges, base = set(), 0
+        for tree in trees:
+            edges |= {(u + base, v + base) for u, v in tree.edges}
+            base += tree.n
+        f = csf_via_tree_dp(Graph(base, frozenset(edges)))
+        assert f.terms == csf_via_edge_subsets(Graph(base, frozenset(edges))).terms
+        product = SymFunc.one("p")
+        for tree in trees:
+            product = product * csf_via_tree_dp(tree)
+        assert f == product
+
+    @pytest.mark.parametrize("n, seed", [(17, 4), (18, 5), (20, 6)])
+    def test_matches_edge_subsets_on_larger_random_forests(self, n, seed):
+        G = _random_forest(n, random.Random(seed))
+        assert csf_via_tree_dp(G).terms == csf_via_edge_subsets(G).terms
 
     def test_isolated_vertices(self):
         G = Graph(4, frozenset({(1, 2)}))

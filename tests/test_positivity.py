@@ -1,5 +1,7 @@
 """Positivity verdicts, screeners, sweeps, and conjecture checks."""
 
+import concurrent.futures
+
 import pytest
 
 import cslab.csf
@@ -281,7 +283,7 @@ class TestSweeps:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cslab.positivity, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         serial = run_sweep("spider:a,2,1", "a", 2, 3)
         assert run_sweep("spider:a,2,1", "a", 2, 3, jobs=5000) == serial
         assert pools == [2]

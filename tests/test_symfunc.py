@@ -10,6 +10,7 @@ import copy
 import json
 import pickle
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,14 @@ from cslab import (
 from cslab import symfunc
 from cslab.csf import csf_via_tree_dp
 from cslab.graphs import parse_graph_spec
-from cslab.symfunc import _add_border_strips, _peel_from_m, _to_m, from_json_dict, to_json_dict
+from cslab.symfunc import (
+    _add_strips,
+    _beads_shape,
+    _peel_from_m,
+    _to_m,
+    from_json_dict,
+    to_json_dict,
+)
 
 small_partitions = [
     lam for n in range(0, 7) for lam in enumerate_partitions(n)
@@ -247,14 +255,48 @@ class TestPowerSumConversions:
         assert change_basis(f, "s").terms == {Partition((1, 1)): 2}
 
 
+def _beads(nu, n: int) -> int:
+    """The degree-n beta-set of nu: the bead of row i at nu_i - i + n."""
+    rows = tuple(nu) + (0,) * (n - len(nu))
+    return sum(1 << part - i + n for i, part in enumerate(rows))
+
+
+def _standard_tableaux(lam) -> int:
+    """f^lam, the number of standard tableaux, by the hook-length formula."""
+    cols = Partition(lam).conjugate()
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + cols[j] - i - 1
+    return factorial(sum(lam)) // hooks
+
+
 class TestBorderStrips:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_brute_force(self, k):
         for size in range(0, 11):
+            n = size + k
             for nu in enumerate_partitions(size):
-                got = _add_border_strips(tuple(nu), k)
+                beads = _beads(nu, n)
+                assert _beads_shape(beads, n) == nu
+                got = [(_beads_shape(lam, n), sign) for lam, sign in _add_strips(beads, k)]
                 assert dict(got) == brute_border_strips(nu, k), (nu, k)
                 assert len(got) == len(dict(got)), (nu, k)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_power_of_ones_counts_standard_tableaux(self, n):
+        # p_1^n = sum over lam of f^lam s_lam.
+        f = change_basis(SymFunc.single("p", Partition((1,) * n)), "s")
+        assert f.terms == {lam: _standard_tableaux(lam) for lam in enumerate_partitions(n)}
+
+    def test_rows_are_never_reused_across_degrees(self):
+        # A beta-set means a different shape at each degree, so each row is
+        # memoised per degree; both orders must agree with peeling from m.
+        functions = [
+            SymFunc.single("p", mu, 1) for n in range(0, 9) for mu in enumerate_partitions(n)
+        ]
+        for f in functions + functions[::-1]:
+            assert change_basis(f, "s") == _peel_from_m(_to_m(f), "s"), f
 
 
 class TestSpecializeOnes:
