@@ -49,13 +49,6 @@ class Partition(tuple):
     def multiplicities(self) -> "MultiplicityForm":
         return MultiplicityForm.from_parts(self)
 
-    def part_factorial(self) -> int:
-        """Product of the factorials of the parts."""
-        out = 1
-        for p in self:
-            out *= factorial(p)
-        return out
-
     def multiplicity_factorial(self) -> int:
         """Product of the factorials of the part multiplicities.
 
@@ -95,33 +88,17 @@ class MultiplicityForm:
                 pairs.append((p, 1))
         return cls(tuple(pairs))
 
-    def to_partition(self) -> Partition:
-        return Partition(p for p, m in self.pairs for _ in range(m))
-
-    def multiplicity(self, part: int) -> int:
-        for p, m in self.pairs:
-            if p == part:
-                return m
-        return 0
-
 
 def sort_to_partition(parts: Iterable[int]) -> Partition:
     """Sort a composition (any order, zeros allowed) into a partition."""
     return Partition(sorted((p for p in parts if p != 0), reverse=True))
 
 
-def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield all partitions of n in reverse-lexicographic order.
-
-    With max_part set, only partitions whose parts are all <= max_part are
-    produced, still in reverse-lexicographic order.
-    """
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """Yield all partitions of n in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    cap = n if max_part is None else min(max_part, n)
-    if n > 0 and cap <= 0:
-        return
-    for parts in _part_tuples(n, cap if n else 0):
+    for parts in _part_tuples(n, n):
         yield Partition(parts)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csf import _double_broom_shape, compute_csf
+from .csf import _double_broom_shape, _family_recurrence, compute_csf
 from .errors import (
     BadParity,
     BadSpec,
@@ -41,7 +41,8 @@ from .partitions import (
     numerical_semigroup_gap,
     sort_to_partition,
 )
-from .rimhook import schur_coefficient, schur_expansion_solve
+from .rimhook import schur_coefficient
+from .symfunc import DEFAULT_DEGREE_CAP
 
 YES = "yes"
 NO = "no"
@@ -264,52 +265,68 @@ def _connected_cover_trace(G: Graph):
     return ("connected-partition-cover", True, "every partition type is realized connectedly")
 
 
+def _decide(G: Graph, basis: str, trace: tuple, route, candidates) -> tuple:
+    """The one order of decisions behind both positivity questions; returns
+    (verdict, witness).
+
+    With a ``route``, the full expansion in ``basis`` decides: a negative
+    minimum is the witness of "no", and a nonnegative one beside a failed
+    screener is an internal contradiction.  Without one, or when the
+    expansion is too large after all, the first negative value among the
+    lazily computed (partition, value) ``candidates`` is the witness of
+    "no"; failing that, a failed screener alone proves "no", and otherwise
+    the question is unknown at the cap.
+    """
+    failed = [name for name, passed, _ in trace if not passed]
+    if route is not None:
+        try:
+            expansion = compute_csf(G, route, basis, cap=max(G.n, DEFAULT_DEGREE_CAP))
+        except TooLarge:
+            pass
+        else:
+            lam, coeff = expansion.min_coefficient()
+            if coeff < 0:
+                return NO, Witness(basis, lam, coeff)
+            if failed:
+                raise InternalContradiction(
+                    f"screener contradicts a nonnegative {basis}-expansion on "
+                    f"{G.label or G} (failed: {', '.join(failed)}): "
+                    "one of the two is implemented wrongly"
+                )
+            return YES, None
+    for lam, value in candidates:
+        if value < 0:
+            return NO, Witness(basis, lam, value)
+    return (NO if failed else UNKNOWN), None
+
+
 def e_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityReport:
-    """Decide e-positivity: screeners first, then a full e-expansion.
+    """Decide e-positivity: spider screeners and the connected-partition
+    cover, then a full e-expansion when one is in reach.
 
     The expansion comes from ``compute_csf`` in the e basis: by whatever
     route it picks up to ``cap`` vertices, and above that only when a
     family recurrence applies (a path, a three-leg spider, or a
     two-leaf/two-leaf odd double broom), whose minimum is read from its
-    packed terms.  A "no" verdict from an expansion carries the minimal
-    coefficient as witness; if only a screener is in reach, its failure
-    alone certifies "no".
+    packed terms.  Out of reach, a spider with exactly two odd legs still
+    gets the closed-form coefficient of ``lemma_2odds_coefficient`` as a
+    witness when it is negative.
     """
     trace = []
+    candidates = ()
     legs = spider_legs(G)
-    if legs is not None and legs.length >= 3:
+    if legs is not None:
         trace.extend(screen_spider(legs))
+        if sum(p % 2 for p in legs) == 2:
+            shape = sort_to_partition([3] + [2] * ((G.n - 3) // 2))
+            candidates = ((shape, lemma_2odds_coefficient(legs)),)
     cover = _connected_cover_trace(G)
     if cover is not None:
         trace.append(cover)
     trace = tuple(trace)
-    screeners_failed = any(not passed for _, passed, _ in trace)
-
-    try:
-        expansion = compute_csf(
-            G, "auto" if G.n <= cap else "family-recurrence", "e", cap=max(G.n, 24)
-        )
-    except (BadSpec, TooLarge):
-        verdict = NO if screeners_failed else UNKNOWN
-        witness = None
-        if screeners_failed and legs is not None and sum(1 for p in legs if p % 2) == 2:
-            value = lemma_2odds_coefficient(legs)
-            if value < 0:
-                shape = sort_to_partition([3] + [2] * ((G.n - 3) // 2))
-                witness = Witness("e", shape, value)
-        return PositivityReport(G, e_positive=verdict, witness=witness, screener_trace=trace)
-
-    lam, coeff = expansion.min_coefficient()
-    if coeff < 0:
-        return PositivityReport(
-            G, e_positive=NO, witness=Witness("e", lam, coeff), screener_trace=trace
-        )
-    if screeners_failed:
-        raise InternalContradiction(
-            f"screener contradicts a nonnegative e-expansion on {G.label or G}: "
-            "one of the two is implemented wrongly"
-        )
-    return PositivityReport(G, e_positive=YES, screener_trace=trace)
+    route = "auto" if G.n <= cap or _family_recurrence(G) else None
+    verdict, witness = _decide(G, "e", trace, route, candidates)
+    return PositivityReport(G, e_positive=verdict, witness=witness, screener_trace=trace)
 
 
 def _balance_trace(G: Graph):
@@ -324,22 +341,23 @@ def _balance_trace(G: Graph):
     )
 
 
-def _targeted_shapes(G: Graph) -> tuple:
-    """The specific Schur shapes known to go negative first in the broom
-    and double-broom families; used beyond the full-expansion cap."""
+def _targeted_coefficients(G: Graph):
+    """Yield (shape, coefficient) for the specific Schur shapes known to go
+    negative first in the broom and double-broom families, each computed by
+    the tabloid rule only when asked for; used beyond the full-expansion
+    cap."""
     legs = spider_legs(G)
-    if legs is not None and legs.length == 3 and legs[1] == legs[2] == 1 and legs[0] % 2 == 0:
+    broom = legs is not None and legs.length == 3 and legs[1] == legs[2] == 1
+    if broom and legs[0] >= 4 and legs[0] % 2 == 0:
         p = legs[0] // 2
-        if p >= 2:
-            return (Partition((p + 1, p + 1, 1)),)
-    shape = _double_broom_shape(G)
-    if shape is not None:
-        left, middle, right = shape
-        if sorted((left, right)) == [2, 3] and middle % 2 == 1:
-            p = (middle + 1) // 2
-            if p + 1 >= 2:
-                return (Partition((p + 3, p + 1, 1)),)
-    return ()
+        lam = Partition((p + 1, p + 1, 1))
+    else:
+        shape = _double_broom_shape(G)
+        if shape is None or sorted((shape[0], shape[2])) != [2, 3] or shape[1] % 2 == 0:
+            return
+        p = (shape[1] + 1) // 2
+        lam = Partition((p + 3, p + 1, 1))
+    yield lam, schur_coefficient(G, lam)[0]
 
 
 def schur_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityReport:
@@ -351,34 +369,9 @@ def schur_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityRepor
     unknown-at-cap.
     """
     trace = (_balance_trace(G),)
-    unbalanced = not trace[0][1]
-
-    try:
-        expansion = schur_expansion_solve(G, cap=cap)
-    except TooLarge:
-        expansion = None
-
-    if expansion is not None:
-        lam, coeff = expansion.min_coefficient()
-        if coeff < 0:
-            return PositivityReport(
-                G, schur_positive=NO, witness=Witness("s", lam, coeff), screener_trace=trace
-            )
-        if unbalanced:
-            raise InternalContradiction(
-                f"balance screener contradicts a nonnegative s-expansion on {G.label or G}"
-            )
-        return PositivityReport(G, schur_positive=YES, screener_trace=trace)
-
-    if unbalanced:
-        return PositivityReport(G, schur_positive=NO, screener_trace=trace)
-    for lam in _targeted_shapes(G):
-        value, _ = schur_coefficient(G, lam)
-        if value < 0:
-            return PositivityReport(
-                G, schur_positive=NO, witness=Witness("s", lam, value), screener_trace=trace
-            )
-    return PositivityReport(G, schur_positive=UNKNOWN, screener_trace=trace)
+    route = "auto" if G.n <= cap else None
+    verdict, witness = _decide(G, "s", trace, route, _targeted_coefficients(G))
+    return PositivityReport(G, schur_positive=verdict, witness=witness, screener_trace=trace)
 
 
 @dataclass(frozen=True)
@@ -449,7 +442,7 @@ def _sweep_instance(task) -> SweepRow:
         e_report = e_positivity(G, cap=cap)
         s_report = schur_positivity(G, cap=cap)
         return SweepRow(value, e_report, s_report)
-    except (BadSpec, TooLarge, ValueError) as exc:
+    except ValueError as exc:
         return SweepRow(value, None, None, error=str(exc))
 
 
@@ -547,17 +540,18 @@ def check_conjecture(
     counterexamples: list = []
     notes: list = []
 
-    def check_spider_e(a, b, c):
-        G = parse_graph_spec(f"spider:{a},{b},{c}")
-        report = e_positivity(G, cap=cap)
-        label = f"spider:{a},{b},{c} e-positive"
-        status = "consistent" if report.e_positive == YES else "counterexample"
-        detail = report.e_positive
-        if report.witness is not None:
-            detail += f" (witness [e_{tuple(report.witness.partition)}] = {report.witness.coefficient})"
+    def record(label, verdict, witness):
+        status = "consistent" if verdict == YES else "counterexample"
+        detail = verdict
+        if witness is not None:
+            detail += f" (witness [{witness.basis}_{tuple(witness.partition)}] = {witness.coefficient})"
         instances.append((label, status, detail))
         if status == "counterexample":
             counterexamples.append(label)
+
+    def check_spider_e(a, b, c):
+        report = e_positivity(parse_graph_spec(f"spider:{a},{b},{c}"), cap=cap)
+        record(f"spider:{a},{b},{c} e-positive", report.e_positive, report.witness)
 
     def check_schur(spec, label):
         G = parse_graph_spec(spec)
@@ -565,13 +559,7 @@ def check_conjecture(
             instances.append((label, "skipped", f"{G.n} vertices exceed the cap {cap}"))
             return
         report = schur_positivity(G, cap=cap)
-        status = "consistent" if report.schur_positive == YES else "counterexample"
-        detail = report.schur_positive
-        if report.witness is not None:
-            detail += f" (witness [s_{tuple(report.witness.partition)}] = {report.witness.coefficient})"
-        instances.append((label, status, detail))
-        if status == "counterexample":
-            counterexamples.append(label)
+        record(label, report.schur_positive, report.witness)
 
     if name == "sporadic-head":
         top = 4 if limit is None else limit

@@ -125,6 +125,24 @@ class TestEPositivity:
         assert failing.e_positive == NO
         assert failing.failed_screeners
 
+    def test_past_the_recurrence_byte_width_the_closed_form_is_the_witness(self):
+        # 257 vertices and two odd legs: lemma_2odds_coefficient supplies
+        # the negative coefficient that the recurrence cannot reach.
+        report = e_positivity(parse_graph_spec("spider:130,125,1"))
+        assert report.e_positive == NO
+        assert report.witness.basis == "e"
+        assert report.witness.partition == Partition((3,) + (2,) * 127)
+        assert report.witness.coefficient == -7
+        assert report.failed_screeners == ("odd-pair-forces-sum", "two-odd-legs-coefficient")
+
+    def test_past_the_cap_without_a_recurrence_is_unknown(self):
+        # 15 vertices, a double broom with no family recurrence, no
+        # screener in reach: nothing can settle it at the default cap.
+        report = e_positivity(parse_graph_spec("dbroom:2,9,3"))
+        assert report.e_positive == UNKNOWN
+        assert report.witness is None
+        assert report.screener_trace == ()
+
     def test_witness_partition_has_the_right_degree(self):
         report = e_positivity(build_family("spider", 4, 4, 2))
         assert report.e_positive == NO
@@ -136,6 +154,13 @@ class TestSchurPositivity:
         report = schur_positivity(build_family("broom", 6, 3))
         assert report.schur_positive == NO
         assert "balanced-stable-bipartition" in report.failed_screeners
+
+    def test_unbalanced_bipartition_decides_past_the_cap(self):
+        # 18 vertices: no expansion runs, so the screener alone says "no".
+        report = schur_positivity(build_family("broom", 14, 3))
+        assert report.schur_positive == NO
+        assert report.witness is None
+        assert report.failed_screeners == ("balanced-stable-bipartition",)
 
     def test_small_broom_is_schur_positive(self):
         report = schur_positivity(build_family("broom", 4, 2))
@@ -235,14 +260,14 @@ class TestPackedMinimum:
 
 class TestInternalContradictions:
     def test_screener_against_nonnegative_e_expansion(self, lying_screener):
-        with pytest.raises(InternalContradiction, match="screener contradicts"):
+        with pytest.raises(InternalContradiction, match="screener contradicts .*failed: planted"):
             e_positivity(parse_graph_spec("spider:3,2,1"))
 
     def test_balance_against_nonnegative_s_expansion(self, monkeypatch):
         monkeypatch.setattr(
             cslab.positivity, "balanced_stable_bipartition", lambda G: False
         )
-        with pytest.raises(InternalContradiction, match="balance screener"):
+        with pytest.raises(InternalContradiction, match="failed: balanced-stable-bipartition"):
             schur_positivity(build_family("path", 4))
 
     def test_sweep_records_an_error_row_and_goes_on(self, lying_screener):
