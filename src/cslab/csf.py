@@ -580,6 +580,9 @@ def compute_csf(
             )
         if basis in (None, "e"):
             return CsfResult(G, route, packed=family())
+        # The conversion would refuse the terms: refuse before building them.
+        if G.n > cap:
+            raise TooLarge(f"degree {G.n} exceeds the basis-change cap {cap}")
         value = _e_function(*family())
     else:
         # The memo key ignores the graph's label (Graph equality does), so the

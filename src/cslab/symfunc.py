@@ -9,21 +9,18 @@ partitions of a fixed degree, in one of four classical bases:
 - ``s``: Schur
 
 Coefficients are exact (int, promoted to Fraction only when division
-occurs).  Basis changes never solve a dense linear system.  A power-sum
-function goes straight to e or s: p_mu is a product of power sums, each p_k
-is written in the e basis by Newton's identity (indices concatenate, since
-e is multiplicative), and multiplying a Schur function by p_k adds signed
-border strips (the Murnaghan-Nakayama rule).  The whole function is
-converted at once, by Horner's rule over its parts, so its terms share the
-products of the parts they have in common.  On one core of a shared 2-core
-host (CPython 3.11, raw times, cold memos) p->e and p->s took 0.14 s and
-0.20 s with a peak RSS of 31 MB on the 24-vertex tree dbroom:2,18,3
-(1,558 power-sum terms), where converting term by term took 2.8 s and
-8.5 s and 701 MB.  Every other change of basis goes through m and then
-peels the reverse-lexicographically extreme term of the residual,
-subtracting the matching pivot expansion, which is valid because the
-transition matrices are triangular with respect to dominance order and
-reverse-lexicographic order refines dominance.
+occurs).  Basis changes never solve a dense linear system.  p->e, p->s,
+p->m and e->m share one engine: Horner's rule over the parts of the whole
+function, so terms that share parts share the products of the parts they
+have in common.  Only its step differs by pair: multiplying by one p_k in
+e (Newton's identity; indices concatenate, since e is multiplicative), by
+one p_k in s (signed border strips, the Murnaghan-Nakayama rule), or by
+one p_k or e_k in m.  s->m goes term by term through Kostka numbers,
+since s is not multiplicative.  Every other change of basis goes through m
+and then peels the reverse-lexicographically extreme term of the
+residual, subtracting the matching pivot expansion, which is valid
+because the transition matrices are triangular with respect to dominance
+order and reverse-lexicographic order refines dominance.
 """
 
 from __future__ import annotations
@@ -196,15 +193,15 @@ class SymFunc:
 # -- multiplying m-basis term dicts by one e_k or p_k -------------------------
 
 
-def _times_elementary(terms: Mapping[Partition, Coeff], k: int) -> dict[Partition, Coeff]:
-    """Multiply an m-basis term dict by e_k (= the squarefree monomial sum).
+def _times_elementary(terms: Mapping[Partition, Coeff], k: int, size: int, out: dict) -> None:
+    """Add the m-basis terms times e_k (= the squarefree monomial sum) into
+    ``out``.
 
     Multiplying a fixed monomial by k distinct variables bumps some existing
     exponents by one and introduces the rest as new exponent-1 variables.
     The choice is a bump count per exponent value; the resulting coefficient
     counts which variables of the product monomial were bumped.
     """
-    out: dict[Partition, Coeff] = {}
     for rho, c in terms.items():
         vals = rho.multiplicities().pairs
         stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, k, ())]
@@ -234,51 +231,26 @@ def _times_elementary(terms: Mapping[Partition, Coeff], k: int) -> dict[Partitio
             v, mult = vals[i]
             for u in range(0, min(left, mult) + 1):
                 stack.append((i + 1, left - u, chosen + ((v, u),)))
-    return out
 
 
-def _times_power(terms: Mapping[Partition, Coeff], k: int) -> dict[Partition, Coeff]:
-    """Multiply an m-basis term dict by p_k (= the k-th power sum).
+def _times_power(terms: Mapping[Partition, Coeff], k: int, size: int, out: dict) -> None:
+    """Add the m-basis terms times p_k (= the k-th power sum) into ``out``.
 
     The single power either lands on a fresh variable or raises one existing
     exponent value by k; the coefficient counts the positions of the product
     monomial that could have received it.
     """
-    out: dict[Partition, Coeff] = {}
     for rho, c in terms.items():
-        values = sorted(set(rho)) + [0]
-        seen: set[Partition] = set()
-        for v in values:
-            if v in seen:
-                continue
+        for v in {0, *rho}:
             parts = list(rho)
             if v:
                 parts.remove(v)
             parts.append(v + k)
             mu = Partition(sorted(parts, reverse=True))
-            weight = sum(1 for p in mu if p == v + k)
-            out[mu] = out.get(mu, 0) + c * weight
-            seen.add(v)
-    return out
+            out[mu] = out.get(mu, 0) + c * mu.count(v + k)
 
 
 # -- single-basis-element expansions into the monomial basis -----------------
-
-
-@lru_cache(maxsize=None)
-def _e_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    if not lam:
-        return ((Partition(), 1),)
-    base = dict(_e_to_m_terms(Partition(lam[:-1])))
-    return tuple(sorted(_times_elementary(base, lam[-1]).items(), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _p_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    if not lam:
-        return ((Partition(), 1),)
-    base = dict(_p_to_m_terms(Partition(lam[:-1])))
-    return tuple(sorted(_times_power(base, lam[-1]).items(), reverse=True))
 
 
 def _horizontal_strip_predecessors(shape: Partition, size: int) -> Iterator[Partition]:
@@ -334,27 +306,13 @@ def _s_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
     return tuple(sorted(out, reverse=True))
 
 
-_EXPANSIONS = {
-    "e": _e_to_m_terms,
-    "p": _p_to_m_terms,
-    "s": _s_to_m_terms,
-}
-
-
-# -- power sums straight into the e and s bases ------------------------------
+# -- power sums into the e and s bases, on integer keys ---------------------
 #
-# Both conversions run Horner's rule over the parts of the whole function:
-# f = sum over k of p_k g_k, where g_k holds f's terms whose largest part
-# is k, with that part taken out.  Each g_k is converted the same way and
-# multiplied by p_k once, so terms that share parts share the work of
-# converting them.  A group holding a single term takes that term's
-# memoised row instead; only such lone terms are memoised, and small
-# functions consist mostly of them.  The s tables key shapes by degree-n
-# beta-sets, bitmasks with the bead of row i at bit lam_i - i + n, so adding
-# a k-strip moves one bead k places up (the abacus form of
-# Murnaghan-Nakayama); the e tables key terms by packed multiplicity
-# integers, so a product of two terms is one integer addition.  The keys of
-# the result become Partitions only at the end, each through a memo.
+# The e keys are packed multiplicity integers, so a product of two terms is
+# one integer addition.  The s keys are degree-n beta-sets, bitmasks with
+# the bead of row i at bit lam_i - i + n, so adding a k-strip moves one bead
+# k places up (the abacus form of Murnaghan-Nakayama).  The keys of a
+# result become Partitions only at the end, each through a memo.
 
 
 @lru_cache(maxsize=None)
@@ -373,44 +331,14 @@ def _power_in_e(k: int, width: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _p_to_e_row(mu: tuple, width: int) -> tuple[tuple[int, Coeff], ...]:
-    """p_mu in the e basis, packed: the row of mu without its largest part
-    times the Newton expansion of that part."""
-    if not mu:
-        return ((0, 1),)
-    out: dict[int, Coeff] = {}
+def _times_newton(terms: Mapping[int, Coeff], k: int, width: int, out: dict) -> None:
+    """Add the packed e-terms times p_k, in Newton's expansion, into ``out``."""
+    power = _power_in_e(k, width)
     get = out.get
-    power = _power_in_e(mu[0], width)
-    for lam, c in _p_to_e_row(mu[1:], width):
+    for lam, c in terms.items():
         for nu, d in power:
             key = lam + nu
             out[key] = get(key, 0) + c * d
-    return tuple((key, c) for key, c in out.items() if c)
-
-
-def _p_to_e(terms: Mapping[tuple, Coeff], width: int) -> dict[int, Coeff]:
-    """The packed e-terms of the p-terms ``terms``: group them by their
-    largest part k, convert each group's remainder the same way, and
-    multiply it by Newton's p_k once per group."""
-    groups: dict[tuple, dict[tuple, Coeff]] = {}
-    for mu, c in terms.items():
-        groups.setdefault(mu[:1], {})[mu] = c
-    out: dict[int, Coeff] = {}
-    get = out.get
-    for first, group in groups.items():
-        if len(group) == 1:
-            [(mu, c)] = group.items()
-            for key, d in _p_to_e_row(mu, width):
-                out[key] = get(key, 0) + c * d
-            continue
-        power = _power_in_e(first[0], width)
-        for lam, c in _p_to_e({mu[1:]: c for mu, c in group.items()}, width).items():
-            if c:
-                for nu, d in power:
-                    key = lam + nu
-                    out[key] = get(key, 0) + c * d
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -452,44 +380,68 @@ def _add_strips(beads: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _p_to_s_row(mu: tuple, n: int) -> tuple[tuple[int, Coeff], ...]:
-    """p_mu in the s basis, as degree-n beta-sets; the coefficient of s_lam
-    is the character chi^lam(mu).  The row of mu without its largest part
-    k gains the border strips of size k: p_k s_nu is the signed sum of
-    s_lam over the strips lam/nu (Murnaghan-Nakayama)."""
-    if not mu:
-        # The empty shape: its n beads fill bits 1..n.
-        return (((1 << n + 1) - 2, 1),)
-    out: dict[int, Coeff] = {}
+def _times_strips(terms: Mapping[int, Coeff], k: int, n: int, out: dict) -> None:
+    """Add the s-terms, keyed by degree-n beta-sets, times p_k into ``out``:
+    p_k s_nu is the signed sum of s_lam over the k-strips lam/nu."""
     get = out.get
-    k = mu[0]
-    for nu, c in _p_to_s_row(mu[1:], n):
+    for nu, c in terms.items():
         for lam, sign in _add_strips(nu, k):
             out[lam] = get(lam, 0) + sign * c
-    return tuple((lam, c) for lam, c in out.items() if c)
 
 
-def _p_to_s(terms: Mapping[tuple, Coeff], n: int) -> dict[int, Coeff]:
-    """The s-terms of the p-terms ``terms``, keyed by degree-n beta-sets:
-    group them by their largest part k, convert each group's remainder the
-    same way, and add the k-border strips once per group."""
+# -- Horner's rule over the parts --------------------------------------------
+#
+# A function in a multiplicative basis is f = sum over k of g_k times the
+# k-th generator (p_k or e_k), where g_k holds f's terms whose largest part
+# is k, with that part taken out.  Each g_k is converted the same way and
+# multiplied by the generator once, so terms that share parts share the
+# work of converting them.  A group holding a single term reads that term's
+# memoised row instead; only such lone terms are memoised, and small
+# functions consist mostly of them.
+#
+# Only the step differs from one pair of bases to the next: step(terms, k,
+# size, out) adds the target-basis terms times the k-th generator into
+# out.  ``size`` is what the target's keys need beyond themselves, and all
+# that a row depends on beyond its index: the field width of packed e keys
+# (bits per part multiplicity), the degree of s beta-sets, and 0 for m.
+
+_STEPS = {
+    ("p", "e"): _times_newton,
+    ("p", "s"): _times_strips,
+    ("p", "m"): _times_power,
+    ("e", "m"): _times_elementary,
+}
+
+
+@lru_cache(maxsize=None)
+def _row(pair: tuple[str, str], size: int, mu: tuple) -> tuple[tuple[object, Coeff], ...]:
+    """The basis element of ``pair``'s source indexed by mu, in its target:
+    the row of mu without its largest part, times that part's generator."""
+    if not mu:
+        # The constant 1; the empty shape's n beads fill bits 1..n.
+        return (({"m": Partition(), "e": 0, "s": (1 << size + 1) - 2}[pair[1]], 1),)
+    out: dict = {}
+    _STEPS[pair](dict(_row(pair, size, mu[1:])), mu[0], size, out)
+    return tuple((key, c) for key, c in out.items() if c)
+
+
+def _horner(pair: tuple[str, str], size: int, terms: Mapping[tuple, Coeff]) -> dict:
+    """The terms of ``pair``'s source in its target, keyed as its step keys
+    them: group them by their largest part k, convert each group's
+    remainder the same way, and take one step by k per group."""
     groups: dict[tuple, dict[tuple, Coeff]] = {}
     for mu, c in terms.items():
         groups.setdefault(mu[:1], {})[mu] = c
-    out: dict[int, Coeff] = {}
+    out: dict = {}
     get = out.get
     for first, group in groups.items():
         if len(group) == 1:
             [(mu, c)] = group.items()
-            for lam, d in _p_to_s_row(mu, n):
-                out[lam] = get(lam, 0) + c * d
+            for key, d in _row(pair, size, mu):
+                out[key] = get(key, 0) + c * d
             continue
-        k = first[0]
-        for nu, c in _p_to_s({mu[1:]: c for mu, c in group.items()}, n).items():
-            if c:
-                for lam, sign in _add_strips(nu, k):
-                    out[lam] = get(lam, 0) + sign * c
+        rest = _horner(pair, size, {mu[1:]: c for mu, c in group.items()})
+        _STEPS[pair](rest, first[0], size, out)
     return out
 
 
@@ -497,34 +449,30 @@ def _from_p(f: SymFunc, target: str) -> SymFunc:
     """The power-sum function f in the e or s basis."""
     if target == "s":
         n = f.degree
-        return SymFunc("s", n, {_beads_shape(lam, n): c for lam, c in _p_to_s(f.terms, n).items() if c})
+        terms = _horner(("p", "s"), n, f.terms)
+        return SymFunc("s", n, {_beads_shape(lam, n): c for lam, c in terms.items() if c})
     # Bits per part multiplicity: a byte, as in the family recurrences,
     # unless a multiplicity could overflow it.
     width = max(8, f.degree.bit_length())
-    packed = _p_to_e(f.terms, width)
+    packed = _horner(("p", "e"), width, f.terms)
     return SymFunc("e", f.degree, {_unpack(key, width): c for key, c in packed.items() if c})
 
 
 # -- change of basis ---------------------------------------------------------
 
 
-def _expand(f: SymFunc, expand, basis: str) -> SymFunc:
-    """Sum the basis expansions ``expand(lam)`` of f's terms, in ``basis``."""
-    out: dict[Partition, Coeff] = {}
-    for lam, c in f.terms.items():
-        for mu, d in expand(lam):
-            val = out.get(mu, 0) + c * d
-            if val:
-                out[mu] = val
-            else:
-                out.pop(mu, None)
-    return SymFunc(basis, f.degree, out)
-
-
 def _to_m(f: SymFunc) -> SymFunc:
+    """f in the m basis: by Horner's rule from e and p, and term by term
+    through Kostka numbers from s, which is not multiplicative."""
+    if f.basis in ("e", "p"):
+        return SymFunc("m", f.degree, _horner((f.basis, "m"), 0, f.terms))
     if f.basis == "m":
         return f
-    return _expand(f, _EXPANSIONS[f.basis], "m")
+    out: dict[Partition, Coeff] = {}
+    for lam, c in f.terms.items():
+        for mu, d in _s_to_m_terms(lam):
+            out[mu] = out.get(mu, 0) + c * d
+    return SymFunc("m", f.degree, out)
 
 
 def _peel_from_m(fm: SymFunc, target: str) -> SymFunc:
@@ -537,7 +485,6 @@ def _peel_from_m(fm: SymFunc, target: str) -> SymFunc:
     assumption was violated, which indicates a bug, and raises
     SingularSystem rather than returning a wrong answer.
     """
-    expand = _EXPANSIONS[target]
     take_greatest = target in ("e", "s")
     residual: dict[Partition, Coeff] = fm.terms.copy()
     out: dict[Partition, Coeff] = {}
@@ -548,7 +495,7 @@ def _peel_from_m(fm: SymFunc, target: str) -> SymFunc:
             raise SingularSystem(f"peeling did not make progress at {tuple(lead)}")
         prev = lead
         pivot = lead.conjugate() if target == "e" else lead
-        exp = expand(pivot)
+        exp = _s_to_m_terms(pivot) if target == "s" else _row((target, "m"), 0, pivot)
         diag = dict(exp).get(lead, 0)
         if not diag:
             raise SingularSystem(
@@ -570,13 +517,12 @@ def _peel_from_m(fm: SymFunc, target: str) -> SymFunc:
 def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
     """Rewrite f in the target basis, exactly.
 
-    A power-sum f goes straight to e (Newton's identity) or s (border
-    strips), by Horner's rule over its parts: at 24 vertices a tree's
-    p->e and p->s take about 0.14 s and 0.2 s.  Every other pair goes
-    through the monomial basis and, unless m is the target, triangular
-    peeling from there.  Refuses degrees above ``cap``: the number of
-    partitions, and with it the implicit transition system, grows too
-    fast for a full expansion to be a sensible default there.
+    p->e, p->s, p->m and e->m run Horner's rule over f's parts.  s->m goes
+    term by term through Kostka numbers, and every other pair goes through
+    m and, unless m is the target, triangular peeling from there.  Refuses
+    degrees above ``cap``: the number of partitions, and with it the
+    implicit transition system, grows too fast for a full expansion to be
+    a sensible default there.
     """
     if target not in BASES:
         raise BasisMismatch(f"unknown basis {target!r}; expected one of {BASES}")

@@ -156,6 +156,18 @@ class TestRouteAgreement:
         with pytest.raises(TooLarge, match="basis-change cap 24"):
             compute_csf(path, basis="s")
 
+    def test_capped_conversion_refuses_before_the_recurrence_runs(self):
+        # The conversion would refuse a family recurrence's e-terms past the
+        # cap, so they are never built: the path series does not grow.
+        filled = len(csf_module._PATH_TERMS)
+        n = max(filled, 30)
+        spider = parse_graph_spec(f"spider:{n - 3},1,1")
+        for G, basis in ((build_family("path", n), "s"), (spider, "p")):
+            for route in ("auto", "family-recurrence"):
+                with pytest.raises(TooLarge, match="basis-change cap 24"):
+                    compute_csf(G, route, basis=basis)
+        assert len(csf_module._PATH_TERMS) == filled
+
     def test_unknown_route_is_rejected(self):
         with pytest.raises(BadSpec):
             compute_csf(build_family("claw"), route="magic")

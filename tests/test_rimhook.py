@@ -17,6 +17,7 @@ from cslab import (
     TooLarge,
     build_family,
     change_basis,
+    csf_via_edge_subsets,
     enumerate_partitions,
     enumerate_srht,
     inverse_kostka_matrix,
@@ -135,8 +136,11 @@ class TestSchurCoefficient:
 
     @pytest.mark.parametrize("spec", ["path:6", "cycle:5", "claw", "spider:2,2,1"])
     def test_matches_linear_solve_everywhere(self, spec):
+        # Up to 12 vertices both sides read one stable-partition
+        # enumeration, so the edge-subset expansion is checked as well.
         G = parse_graph_spec(spec)
         solved = schur_expansion_solve(G)
+        assert solved == change_basis(csf_via_edge_subsets(G), "s")
         for lam in enumerate_partitions(G.n):
             value, _ = schur_coefficient(G, lam)
             assert value == solved.coefficient(lam), (spec, lam)

@@ -171,6 +171,25 @@ class TestChangeBasis:
             change_basis(SymFunc.one("m"), "q")
 
 
+def _kostka_lookups() -> list:
+    tables = (symfunc.kostka_number, symfunc._s_to_m_terms)
+    return [t.cache_info().hits + t.cache_info().misses for t in tables]
+
+
+@pytest.fixture
+def row_pairs(monkeypatch):
+    """The basis pair of every row lookup, recorded as it is made."""
+    pairs = []
+    row = symfunc._row
+
+    def recording_row(pair, size, mu):
+        pairs.append(pair)
+        return row(pair, size, mu)
+
+    monkeypatch.setattr(symfunc, "_row", recording_row)
+    return pairs
+
+
 def z(mu: Partition) -> int:
     """Size of the centralizer of a permutation of cycle type mu."""
     out = mu.multiplicity_factorial()
@@ -197,20 +216,30 @@ class TestPowerSumConversions:
                 )
                 assert inner == (1 if lam == nu else 0), (n, lam, nu)
 
-    def test_makes_no_lookups_in_the_m_tables(self):
-        tables = (symfunc.kostka_number, symfunc._p_to_m_terms, symfunc._e_to_m_terms)
-
-        def lookups():
-            return [t.cache_info().hits + t.cache_info().misses for t in tables]
-
+    @staticmethod
+    def _small_and_tree():
         small = SymFunc("p", 7, {Partition((4, 2, 1)): 3, Partition((1,) * 7): -1})
         tree = csf_via_tree_dp(parse_graph_spec("dbroom:3,9,3"))
         assert tree.degree == 16
-        for f in (small, tree):
-            before = lookups()
-            change_basis(f, "e")
-            change_basis(f, "s")
-            assert lookups() == before
+        return small, tree
+
+    def test_makes_no_lookups_in_the_m_tables(self, row_pairs):
+        for f in self._small_and_tree():
+            for target in ("e", "s"):
+                before = _kostka_lookups()
+                row_pairs.clear()
+                change_basis(f, target)
+                assert _kostka_lookups() == before
+                assert set(row_pairs) == {("p", target)}
+
+    def test_m_targets_make_no_kostka_lookups(self, row_pairs):
+        small, tree = self._small_and_tree()
+        for f in (small, tree, change_basis(small, "e")):
+            before = _kostka_lookups()
+            row_pairs.clear()
+            change_basis(f, "m")
+            assert _kostka_lookups() == before
+            assert set(row_pairs) == {(f.basis, "m")}
 
     @pytest.mark.parametrize("target", ["e", "s"])
     def test_constant_term(self, target):
@@ -389,16 +418,24 @@ class TestSerialization:
         assert terms == f.terms
 
 
+def _sharing_largest_part(k: int, rest: int):
+    """Up to 6 terms of degree k + rest, each with largest part k."""
+    shapes = [Partition((k,) + nu) for nu in enumerate_partitions(rest) if not nu or nu[0] <= k]
+    return st.dictionaries(st.sampled_from(shapes), st.integers(-9, 9), min_size=1, max_size=6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
-        lambda parts: Partition(sorted(parts, reverse=True))
+    st.integers(1, 4).flatmap(
+        lambda k: st.integers(0, 8 - k).flatmap(lambda rest: _sharing_largest_part(k, rest))
     ),
     st.sampled_from(["e", "p", "s"]),
 )
-def test_property_conversion_preserves_restriction(lam, basis):
-    f = SymFunc.single(basis, lam)
-    assert polys_equal(f, change_basis(f, "m"), lam.n)
+def test_property_conversion_preserves_restriction(terms, basis):
+    # Terms that share their largest part form one Horner group, whose
+    # remainder is converted and multiplied by one generator.
+    f = SymFunc(basis, sum(next(iter(terms))), terms)
+    assert polys_equal(f, change_basis(f, "m"), f.degree)
 
 
 @settings(max_examples=80, deadline=None)
