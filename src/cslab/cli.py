@@ -47,7 +47,7 @@ from .positivity import (
 )
 from .rimhook import schur_coefficient
 from .suites import verify_suite
-from .symfunc import DEFAULT_DEGREE_CAP, to_json_dict
+from .symfunc import DEFAULT_DEGREE_CAP, _json_text, to_json_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,7 +203,7 @@ def _cmd_csf(args) -> int:
         print(f"{args.graph} via {result.route}")
         _pretty_terms(payload)
     else:
-        _print_json(payload)
+        print(_json_text(payload))
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ order and reverse-lexicographic order refines dominance.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -592,6 +593,36 @@ def to_json_dict(f: SymFunc) -> dict:
             {"partition": list(lam), "coeff": str(c)} for lam, c in f.terms_sorted()
         ],
     }
+
+
+# One element of to_json_dict's "terms" as json.dumps(indent=2) lays it out
+# in a top-level payload: the term at depth two, its parts one to a line at
+# depth four.
+_JSON_TERM = '    {\n      "partition": [\n        %s\n      ],\n      "coeff": %s\n    }'
+_JSON_TERM_NO_PARTS = '    {\n      "partition": [],\n      "coeff": %s\n    }'
+
+
+def _json_term(term: dict) -> str:
+    coeff = json.dumps(term["coeff"])
+    if not term["partition"]:
+        return _JSON_TERM_NO_PARTS % coeff
+    return _JSON_TERM % (",\n        ".join(map(str, term["partition"])), coeff)
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` byte for byte, for the form of
+    ``to_json_dict`` with any further fields, in the payload's key order.
+    With any indent json falls back to its pure-Python encoder, one
+    generator step per token; here each term fills one fixed template, and
+    every other field is indented one level by shifting its own lines."""
+    fields = []
+    for key, value in payload.items():
+        if key == "terms" and value:
+            text = "[\n" + ",\n".join(map(_json_term, value)) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def from_json_dict(d: dict) -> SymFunc:

@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cslab import ROUTES
+import pytest
+
+from cslab import ROUTES, compute_csf, parse_graph_spec
 from cslab.cli import _ROUTE_CHOICES, main
+from cslab.symfunc import BASES, from_json_dict, to_json_dict
 
 
 def run_cli(argv, capsys):
@@ -101,6 +104,42 @@ class TestCsfVerb:
         code, _, err = run_cli(["csf", "--graph", "edges:2:0-5"], capsys)
         assert code == 1
         assert "error" in err
+
+
+class TestCsfJson:
+    """``csf`` prints its payload through ``symfunc._json_text``; json.dumps
+    with indent=2 is the oracle it must equal byte for byte."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("basis", BASES)
+    def test_csf_verb_prints_the_indented_payload(self, route, basis, capsys):
+        code, out, _ = run_cli(["csf", "--graph", "path:5", "--route", route, "--basis", basis],
+                               capsys)
+        assert code == 0
+        expected = compute_csf(parse_graph_spec("path:5"), route, basis)
+        payload = {"graph": "path:5", "route": route, **to_json_dict(expected.value)}
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert from_json_dict(json.loads(out)) == expected.value
+
+    @pytest.mark.parametrize("spec", ["edges:0:", "cycle:5", "dbroom:3,5,3"])
+    def test_csf_verb_round_trips(self, spec, capsys):
+        for basis in BASES:
+            code, out, _ = run_cli(["csf", "--graph", spec, "--basis", basis], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert out == json.dumps(payload, indent=2) + "\n"
+            assert from_json_dict(payload) == compute_csf(parse_graph_spec(spec), basis=basis).value
+
+    def test_pretty_output_is_unchanged(self, capsys):
+        code, out, _ = run_cli(["csf", "--graph", "path:4", "--basis", "e", "--pretty"], capsys)
+        assert code == 0
+        assert out == (
+            "path:4 via family-recurrence\n"
+            "basis e, degree 4\n"
+            "  4    4\n"
+            "  3,1  2\n"
+            "  2,2  2\n"
+        )
 
 
 class TestCoeffVerbs:

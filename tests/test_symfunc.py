@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -39,8 +39,10 @@ from cslab import symfunc
 from cslab.csf import csf_via_tree_dp
 from cslab.graphs import parse_graph_spec
 from cslab.symfunc import (
+    BASES,
     _add_strips,
     _beads_shape,
+    _json_text,
     _peel_from_m,
     _to_m,
     from_json_dict,
@@ -391,7 +393,39 @@ class TestInspection:
         ]
 
 
+@st.composite
+def _symfuncs(draw):
+    """Any basis and degree up to 7, with int, negative and Fraction
+    coefficients; the zero function when no partition is drawn."""
+    n = draw(st.integers(0, 7))
+    shapes = draw(st.lists(st.sampled_from(list(enumerate_partitions(n))), unique=True))
+    coeffs = st.one_of(st.integers(-(10**30), 10**30), st.fractions())
+    return SymFunc(draw(st.sampled_from(BASES)), n, {lam: draw(coeffs) for lam in shapes})
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+# Further payload fields, beside the ones to_json_dict writes.
+_json_heads = st.dictionaries(
+    st.text().filter(lambda key: key not in ("basis", "degree", "terms")),
+    _json_values,
+    max_size=4,
+)
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(_symfuncs(), _json_heads, st.booleans())
+    @example(SymFunc.one("e"), {"graph": 'a"b\\c,d:e', "route": "tree-p"}, True)
+    @example(SymFunc.zero("s", 5), {"graph": "spïder:3,2,1 \u2014 \U0001d54a"}, False)
+    @example(SymFunc("p", 3, {(2, 1): Fraction(-7, 3)}), {"legs": [3, [2, {}]], "x": {}}, True)
+    def test_json_text_equals_indented_json_dumps(self, f, head, head_first):
+        payload = head | to_json_dict(f) if head_first else to_json_dict(f) | head
+        assert _json_text(payload) == json.dumps(payload, indent=2)
+
     def test_json_round_trip_is_exact(self):
         f = SymFunc("s", 4, {Partition((2, 2)): -1, Partition((3, 1)): 10**30})
         blob = json.dumps(to_json_dict(f))
