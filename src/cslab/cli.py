@@ -86,7 +86,8 @@ def _build_parser() -> _Parser:
     p_csf.add_argument("--graph", required=True, help="graph spec, e.g. spider:4,2,1")
     p_csf.add_argument("--basis", choices=("m", "e", "p", "s"), default="m")
     p_csf.add_argument("--route", choices=_ROUTE_CHOICES, default="auto")
-    p_csf.add_argument("--cap", type=int, default=None, help="degree cap for basis changes")
+    cap_help = "edge cap for tree-p and degree cap for basis changes (default 24)"
+    p_csf.add_argument("--cap", type=int, default=None, help=cap_help)
     p_csf.add_argument("--pretty", action="store_true")
 
     p_coeff = add("coeff", "one coefficient of the CSF in a chosen basis")
@@ -94,7 +95,7 @@ def _build_parser() -> _Parser:
     p_coeff.add_argument("--basis", choices=("m", "e", "p", "s"), default="e")
     p_coeff.add_argument("--partition", required=True, help="comma-separated parts, e.g. 4,2,1")
     p_coeff.add_argument("--route", choices=_ROUTE_CHOICES, default="auto")
-    p_coeff.add_argument("--cap", type=int, default=None)
+    p_coeff.add_argument("--cap", type=int, default=None, help=cap_help)
 
     p_schur = add("schur-coeff", "one Schur coefficient by signed tabloid counting")
     p_schur.add_argument("--graph", required=True)

@@ -173,10 +173,8 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
     """Power-sum-basis CSF of a forest: the edge-subset sum of edge-p,
     evaluated by a dynamic programme over each rooted component instead of
     over the 2^m subsets.  Components multiply, because p is
-    multiplicative."""
+    multiplicative.  ``compute_csf`` bounds it by its edge cap."""
     m = G.edge_count
-    if m > 24:
-        raise TooLarge(f"tree DP route is capped at 24 edges, got {m}")
     components = connected_components(G)
     if m != G.n - len(components):
         raise BadSpec(
@@ -549,25 +547,25 @@ def compute_csf(
 
     "auto" picks the route from the graph and the target, in one fixed
     order: a family recurrence when the target is e or not given (its
-    e-expansion needs no conversion), then the tree DP on forests with at
-    most 24 edges, stable-m up to 12 vertices, edge-p up to 24 edges, and
-    last a family recurrence for any target.
+    e-expansion needs no conversion), then tree-p for every other forest,
+    stable-m up to 12 vertices, and edge-p up to 24 edges.  Tree-p, chosen
+    or forced, refuses more than ``cap`` edges with TooLarge.
     """
     choices = ("auto",) + ROUTES
     if route not in choices:
         raise BadSpec(f"unknown route {route!r}; expected one of {choices}")
-    family = _family_recurrence(G) if route in ("auto", "family-recurrence") else None
+    family = None
+    if route == "family-recurrence" or (route == "auto" and basis in (None, "e")):
+        family = _family_recurrence(G)
     if route == "auto":
-        if family and basis in (None, "e"):
+        if family:
             route = "family-recurrence"
-        elif G.edge_count <= 24 and is_forest(G):
+        elif is_forest(G):
             route = "tree-p"
         elif G.n <= 12:
             route = "stable-m"
         elif G.edge_count <= 24:
             route = "edge-p"
-        elif family:
-            route = "family-recurrence"
         else:
             raise TooLarge(
                 f"no route can handle {G.n} vertices / {G.edge_count} edges exactly"
@@ -585,6 +583,8 @@ def compute_csf(
             raise TooLarge(f"degree {G.n} exceeds the basis-change cap {cap}")
         value = _e_function(*family())
     else:
+        if route == "tree-p" and G.edge_count > cap:
+            raise TooLarge(f"{G.edge_count} edges exceed the tree-p cap {cap}")
         # The memo key ignores the graph's label (Graph equality does), so the
         # result wraps the caller's graph, not the one first cached.
         value = _generic_csf(G, route)

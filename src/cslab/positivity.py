@@ -42,7 +42,6 @@ from .partitions import (
     sort_to_partition,
 )
 from .rimhook import schur_coefficient
-from .symfunc import DEFAULT_DEGREE_CAP
 
 YES = "yes"
 NO = "no"
@@ -280,7 +279,7 @@ def _decide(G: Graph, basis: str, trace: tuple, route, candidates) -> tuple:
     failed = [name for name, passed, _ in trace if not passed]
     if route is not None:
         try:
-            expansion = compute_csf(G, route, basis, cap=max(G.n, DEFAULT_DEGREE_CAP))
+            expansion = compute_csf(G, route, basis, cap=G.n)
         except TooLarge:
             pass
         else:

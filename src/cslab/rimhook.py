@@ -165,7 +165,7 @@ def schur_expansion_solve(G: Graph, cap: int = 12) -> SymFunc:
     the tabloid rule, so agreement between the two is a real cross-check."""
     if G.n > cap:
         raise TooLarge(f"full Schur expansion is capped at {cap} vertices, got {G.n}")
-    return compute_csf(G, basis="s", cap=max(cap, 24)).value
+    return compute_csf(G, basis="s", cap=G.n).value
 
 
 def inverse_kostka_matrix(n: int):

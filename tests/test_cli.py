@@ -81,11 +81,21 @@ class TestCsfVerb:
         assert auto["terms"] == edges["terms"]
 
     def test_tree_dp_keeps_the_edge_cap(self, capsys):
-        code, _, err = run_cli(
-            ["csf", "--graph", "path:26", "--route", "tree-p"], capsys
-        )
-        assert code == 3
-        assert "capped" in err
+        # The p target needs no conversion, so the DP's cap alone refuses.
+        argv = ["csf", "--graph", "path:26", "--route", "tree-p", "--basis", "p"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert "capped: 25 edges exceed the tree-p cap 24" in err
+        code, out, _ = run_cli(argv + ["--cap", "25"], capsys)
+        assert code == 0
+        assert json.loads(out)["route"] == "tree-p"
+
+    def test_small_cap_refuses_the_tree_dp_in_its_own_basis(self, capsys):
+        # p needs no conversion, but the cap still bounds the DP itself.
+        argv = ["csf", "--graph", "claw", "--basis", "p", "--cap", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert "capped: 3 edges exceed the tree-p cap 2" in err
 
     def test_negative_cap_is_a_usage_error(self, capsys):
         code, _, err = run_cli(

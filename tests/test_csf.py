@@ -128,7 +128,7 @@ class TestRouteAgreement:
         assert result.route == "family-recurrence"
         assert change_basis(result.value, "m") == csf_via_stable_partitions(G)
 
-    def test_auto_prefers_family_then_stable_then_tree_then_edges(self):
+    def test_auto_prefers_family_then_tree_then_stable_then_edges(self):
         assert compute_csf(build_family("path", 30)).route == "family-recurrence"
         assert compute_csf(build_family("cycle", 6)).route == "stable-m"
         assert compute_csf(build_family("star", 14)).route == "tree-p"
@@ -149,24 +149,48 @@ class TestRouteAgreement:
             assert compute_csf(build_family("cycle", 14), basis=basis).route == "edge-p"
             with pytest.raises(TooLarge, match="no route"):
                 compute_csf(build_family("complete", 14), basis=basis)
-        # Past the tree DP's 24 edges the recurrence serves every target;
-        # here the basis change then meets its degree cap.
+        # Past the cap every other target still goes to the tree DP, which
+        # refuses; the recurrence never serves it.
         path = build_family("path", 30)
         assert compute_csf(path, basis="e").route == "family-recurrence"
-        with pytest.raises(TooLarge, match="basis-change cap 24"):
+        with pytest.raises(TooLarge, match="tree-p cap 24"):
             compute_csf(path, basis="s")
+        assert compute_csf(path, basis="p", cap=29).route == "tree-p"
 
     def test_capped_conversion_refuses_before_the_recurrence_runs(self):
-        # The conversion would refuse a family recurrence's e-terms past the
-        # cap, so they are never built: the path series does not grow.
+        # A forced recurrence's e-terms would be refused by the conversion
+        # past the cap, so they are never built; auto refuses at the tree
+        # DP's cap instead.  Either way the path series does not grow.
         filled = len(csf_module._PATH_TERMS)
         n = max(filled, 30)
         spider = parse_graph_spec(f"spider:{n - 3},1,1")
         for G, basis in ((build_family("path", n), "s"), (spider, "p")):
-            for route in ("auto", "family-recurrence"):
-                with pytest.raises(TooLarge, match="basis-change cap 24"):
-                    compute_csf(G, route, basis=basis)
+            with pytest.raises(TooLarge, match="basis-change cap 24"):
+                compute_csf(G, "family-recurrence", basis=basis)
+            with pytest.raises(TooLarge, match="tree-p cap 24"):
+                compute_csf(G, basis=basis)
         assert len(csf_module._PATH_TERMS) == filled
+
+    @pytest.mark.parametrize("route", ["auto", "tree-p"])
+    @pytest.mark.parametrize("basis", [None, "m", "e", "p", "s"])
+    def test_forest_past_the_cap_is_refused_naming_the_cap(self, route, basis):
+        forest = parse_graph_spec("edges:9:0-1,1-2,2-3,4-5,5-6,5-7,5-8")
+        with pytest.raises(TooLarge, match="7 edges exceed the tree-p cap 6"):
+            compute_csf(forest, route, basis, cap=6)
+        # At 7 the DP runs; only a conversion still needs the degree, 9.
+        if basis in (None, "p"):
+            assert compute_csf(forest, route, basis, cap=7).route == "tree-p"
+        else:
+            with pytest.raises(TooLarge, match="degree 9 exceeds the basis-change cap 7"):
+                compute_csf(forest, route, basis, cap=7)
+
+    def test_tree_dp_past_24_edges_matches_the_recurrences(self):
+        spider = compute_csf(parse_graph_spec("spider:20,4,1"), "tree-p", "e", cap=26)
+        assert spider.value == spider_csf(20, 4, 1)
+        path = build_family("path", 26)
+        tree = compute_csf(path, basis="m", cap=26)
+        assert tree.route == "tree-p"
+        assert tree.value == compute_csf(path, "family-recurrence", "m", cap=26).value
 
     def test_unknown_route_is_rejected(self):
         with pytest.raises(BadSpec):
