@@ -199,12 +199,11 @@ def _cmd_csf(args) -> int:
     cap = _cap_or(args, DEFAULT_DEGREE_CAP)
     G = parse_graph_spec(args.graph)
     result = compute_csf(G, args.route, args.basis, cap=cap)
-    payload = {"graph": args.graph, "route": result.route, **to_json_dict(result.value)}
     if args.pretty:
         print(f"{args.graph} via {result.route}")
-        _pretty_terms(payload)
+        _pretty_terms(to_json_dict(result.value))
     else:
-        print(_json_text(payload))
+        print(_json_text({"graph": args.graph, "route": result.route}, result.value))
     return EXIT_OK
 
 

@@ -29,12 +29,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import BasisMismatch, DegreeMismatch, EmptyFunction, SingularSystem, TooLarge
-from .partitions import Partition, enumerate_partitions, sort_to_partition
+from .partitions import Partition, _part_tuples, enumerate_partitions, sort_to_partition
 
 BASES = ("m", "e", "p", "s")
 
@@ -324,9 +324,9 @@ def _power_in_e(k: int, width: int) -> tuple[tuple[int, int], ...]:
     (-1)^(k - l) k (l - 1)! / prod_i m_i(lam)! with l the length of lam and
     m_i its part multiplicities."""
     out = []
-    for lam in enumerate_partitions(k):
-        ell = lam.length
-        coeff = k * factorial(ell - 1) // lam.multiplicity_factorial()
+    for lam in _part_tuples(k, k):
+        ell = len(lam)
+        coeff = k * factorial(ell - 1) // prod(factorial(lam.count(part)) for part in set(lam))
         key = sum(1 << width * part for part in lam)
         out.append((key, -coeff if (k - ell) % 2 else coeff))
     return tuple(out)
@@ -396,9 +396,11 @@ def _times_strips(terms: Mapping[int, Coeff], k: int, n: int, out: dict) -> None
 # k-th generator (p_k or e_k), where g_k holds f's terms whose largest part
 # is k, with that part taken out.  Each g_k is converted the same way and
 # multiplied by the generator once, so terms that share parts share the
-# work of converting them.  A group holding a single term reads that term's
-# memoised row instead; only such lone terms are memoised, and small
-# functions consist mostly of them.
+# work of converting them.  The terms are sorted once, descending, so the
+# terms that share their first d parts are one contiguous run, and each
+# level works on index ranges of that list.  A run of a single term reads
+# that term's memoised row instead; only such lone terms are memoised, and
+# small functions consist mostly of them.
 #
 # Only the step differs from one pair of bases to the next: step(terms, k,
 # size, out) adds the target-basis terms times the k-th generator into
@@ -428,22 +430,31 @@ def _row(pair: tuple[str, str], size: int, mu: tuple) -> tuple[tuple[object, Coe
 
 def _horner(pair: tuple[str, str], size: int, terms: Mapping[tuple, Coeff]) -> dict:
     """The terms of ``pair``'s source in its target, keyed as its step keys
-    them: group them by their largest part k, convert each group's
-    remainder the same way, and take one step by k per group."""
-    groups: dict[tuple, dict[tuple, Coeff]] = {}
-    for mu, c in terms.items():
-        groups.setdefault(mu[:1], {})[mu] = c
-    out: dict = {}
-    get = out.get
-    for first, group in groups.items():
-        if len(group) == 1:
-            [(mu, c)] = group.items()
-            for key, d in _row(pair, size, mu):
-                out[key] = get(key, 0) + c * d
-            continue
-        rest = _horner(pair, size, {mu[1:]: c for mu, c in group.items()})
-        _STEPS[pair](rest, first[0], size, out)
-    return out
+    them."""
+    items = sorted(terms.items(), reverse=True)
+    step = _STEPS[pair]
+
+    def convert(lo: int, hi: int, d: int) -> dict:
+        # items[lo:hi] share their first d parts.  Split them into runs
+        # that also share part d, convert each run's remainders past part
+        # d, and take one step by part d per run.
+        out: dict = {}
+        get = out.get
+        while lo < hi:
+            mu, c = items[lo]
+            end = lo + 1
+            if end == hi or items[end][0][d] != mu[d]:
+                for key, e in _row(pair, size, mu[d:]):
+                    out[key] = get(key, 0) + c * e
+            else:
+                part = mu[d]
+                while end < hi and items[end][0][d] == part:
+                    end += 1
+                step(convert(lo, end, d + 1), part, size, out)
+            lo = end
+        return out
+
+    return convert(0, len(items), 0)
 
 
 def _from_p(f: SymFunc, target: str) -> SymFunc:
@@ -597,31 +608,29 @@ def to_json_dict(f: SymFunc) -> dict:
 
 # One element of to_json_dict's "terms" as json.dumps(indent=2) lays it out
 # in a top-level payload: the term at depth two, its parts one to a line at
-# depth four.
-_JSON_TERM = '    {\n      "partition": [\n        %s\n      ],\n      "coeff": %s\n    }'
-_JSON_TERM_NO_PARTS = '    {\n      "partition": [],\n      "coeff": %s\n    }'
+# depth four.  A coefficient's str holds only digits, "-" and "/", so
+# quoting it equals json.dumps(str(c)).
+_JSON_TERM = '    {\n      "partition": [\n        %s\n      ],\n      "coeff": "%s"\n    }'
+_JSON_TERM_NO_PARTS = '    {\n      "partition": [],\n      "coeff": "%s"\n    }'
 
 
-def _json_term(term: dict) -> str:
-    coeff = json.dumps(term["coeff"])
-    if not term["partition"]:
-        return _JSON_TERM_NO_PARTS % coeff
-    return _JSON_TERM % (",\n        ".join(map(str, term["partition"])), coeff)
-
-
-def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)`` byte for byte, for the form of
-    ``to_json_dict`` with any further fields, in the payload's key order.
+def _json_text(head: dict, f: SymFunc) -> str:
+    """``json.dumps(head | to_json_dict(f), indent=2)`` byte for byte.
     With any indent json falls back to its pure-Python encoder, one
-    generator step per token; here each term fills one fixed template, and
-    every other field is indented one level by shifting its own lines."""
-    fields = []
-    for key, value in payload.items():
-        if key == "terms" and value:
-            text = "[\n" + ",\n".join(map(_json_term, value)) + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
+    generator step per token; here each term of f fills one fixed template,
+    straight from its partition and coefficient, and each field of ``head``
+    is indented one level by shifting its own lines."""
+    fields = [
+        f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
+        for key, value in head.items()
+    ]
+    fields.append(f'  "basis": {json.dumps(f.basis)}')
+    fields.append(f'  "degree": {f.degree}')
+    terms = [
+        _JSON_TERM % (",\n        ".join(map(str, lam)), c) if lam else _JSON_TERM_NO_PARTS % c
+        for lam, c in sorted(f.terms.items(), reverse=True)
+    ]
+    fields.append('  "terms": ' + ("[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"))
     return "{\n" + ",\n".join(fields) + "\n}"
 
 

@@ -44,7 +44,9 @@ from cslab.symfunc import (
     _beads_shape,
     _json_text,
     _peel_from_m,
+    _power_in_e,
     _to_m,
+    _unpack,
     from_json_dict,
     to_json_dict,
 )
@@ -418,13 +420,12 @@ _json_heads = st.dictionaries(
 
 class TestSerialization:
     @settings(max_examples=200, deadline=None)
-    @given(_symfuncs(), _json_heads, st.booleans())
-    @example(SymFunc.one("e"), {"graph": 'a"b\\c,d:e', "route": "tree-p"}, True)
-    @example(SymFunc.zero("s", 5), {"graph": "spïder:3,2,1 \u2014 \U0001d54a"}, False)
-    @example(SymFunc("p", 3, {(2, 1): Fraction(-7, 3)}), {"legs": [3, [2, {}]], "x": {}}, True)
-    def test_json_text_equals_indented_json_dumps(self, f, head, head_first):
-        payload = head | to_json_dict(f) if head_first else to_json_dict(f) | head
-        assert _json_text(payload) == json.dumps(payload, indent=2)
+    @given(_symfuncs(), _json_heads)
+    @example(SymFunc.one("e"), {"graph": 'a"b\\c,d:e', "route": "tree-p"})
+    @example(SymFunc.zero("s", 5), {"graph": "spïder:3,2,1 \u2014 \U0001d54a"})
+    @example(SymFunc("p", 3, {(2, 1): Fraction(-7, 3)}), {"legs": [3, [2, {}]], "x": {}})
+    def test_json_text_equals_indented_json_dumps(self, f, head):
+        assert _json_text(head, f) == json.dumps(head | to_json_dict(f), indent=2)
 
     def test_json_round_trip_is_exact(self):
         f = SymFunc("s", 4, {Partition((2, 2)): -1, Partition((3, 1)): 10**30})
@@ -453,26 +454,48 @@ class TestSerialization:
 
 
 def _sharing_largest_part(k: int, rest: int):
-    """Up to 6 terms of degree k + rest, each with largest part k."""
+    """Up to 6 terms of degree k + rest, each with largest part k, as
+    (degree, terms)."""
     shapes = [Partition((k,) + nu) for nu in enumerate_partitions(rest) if not nu or nu[0] <= k]
-    return st.dictionaries(st.sampled_from(shapes), st.integers(-9, 9), min_size=1, max_size=6)
+    return st.dictionaries(
+        st.sampled_from(shapes), st.integers(-9, 9), min_size=1, max_size=6
+    ).map(lambda terms: (k + rest, terms))
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _full_support(draw):
+    """Every partition of some n <= 8 with a nonzero coefficient, as
+    (n, terms): Horner runs then share two or more leading parts, and
+    remainders run out.  n = 0 is the degree-0 constant."""
+    n = draw(st.integers(0, 8))
+    nonzero = st.integers(-50, 50).filter(bool)
+    return n, {lam: draw(nonzero) for lam in enumerate_partitions(n)}
+
+
+#: Full-support terms, or the zero function of some degree up to 8.
+_whole_or_zero = _full_support() | st.integers(0, 8).map(lambda n: (n, {}))
+
+
+@settings(max_examples=90, deadline=None)
 @given(
     st.integers(1, 4).flatmap(
         lambda k: st.integers(0, 8 - k).flatmap(lambda rest: _sharing_largest_part(k, rest))
-    ),
+    )
+    | _whole_or_zero,
     st.sampled_from(["e", "p", "s"]),
 )
-def test_property_conversion_preserves_restriction(terms, basis):
-    # Terms that share their largest part form one Horner group, whose
-    # remainder is converted and multiplied by one generator.
-    f = SymFunc(basis, sum(next(iter(terms))), terms)
-    assert polys_equal(f, change_basis(f, "m"), f.degree)
+@example((0, {(): -3}), "p")
+@example((6, {}), "e")
+def test_property_conversion_preserves_restriction(degree_terms, basis):
+    # Terms that share their largest part form one Horner run, whose
+    # remainders are converted and multiplied by one generator.
+    f = SymFunc(basis, *degree_terms)
+    g = change_basis(f, "m")
+    assert (g.basis, g.degree) == ("m", f.degree)
+    assert polys_equal(f, g, f.degree)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 9).flatmap(
         lambda n: st.dictionaries(
@@ -480,9 +503,26 @@ def test_property_conversion_preserves_restriction(terms, basis):
             st.integers(-50, 50),
             min_size=1,
             max_size=6,
-        ).map(lambda terms: SymFunc("p", n, terms))
-    ),
+        ).map(lambda terms: (n, terms))
+    )
+    | _whole_or_zero,
     st.sampled_from(["e", "s"]),
 )
-def test_property_power_sums_convert_like_peeling_from_m(f, target):
+@example((0, {(): 5}), "e")
+@example((8, {}), "s")
+@example((9, dict.fromkeys(enumerate_partitions(9), 1)), "e")
+@example((9, dict.fromkeys(enumerate_partitions(9), -1)), "s")
+def test_property_power_sums_convert_like_peeling_from_m(degree_terms, target):
+    # Degree 9 is the least in which two terms, (3, 2, 2, 2) and
+    # (3, 2, 2, 1, 1), share three leading parts that are not all equal.
+    f = SymFunc("p", *degree_terms)
     assert change_basis(f, target) == _peel_from_m(_to_m(f), target)
+
+
+@pytest.mark.parametrize("width", [8, 9])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_newton_table_matches_peeling_from_m(k, width):
+    # The packed table of p_k in e against a route that never reads it:
+    # p_k in m by Horner's rule, then peeled into e through e->m rows.
+    table = {_unpack(key, width): c for key, c in _power_in_e(k, width)}
+    assert table == _peel_from_m(_to_m(SymFunc.single("p", (k,))), "e").terms
