@@ -29,12 +29,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm, prod
+from math import comb, perm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import BasisMismatch, DegreeMismatch, EmptyFunction, SingularSystem, TooLarge
-from .partitions import Partition, _part_tuples, enumerate_partitions, sort_to_partition
+from .partitions import Partition, enumerate_partitions, sort_to_partition
 
 BASES = ("m", "e", "p", "s")
 
@@ -310,26 +310,28 @@ def _s_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
 # -- power sums into the e and s bases, on integer keys ---------------------
 #
 # The e keys are packed multiplicity integers, so a product of two terms is
-# one integer addition.  The s keys are degree-n beta-sets, bitmasks with
-# the bead of row i at bit lam_i - i + n, so adding a k-strip moves one bead
-# k places up (the abacus form of Murnaghan-Nakayama).  The keys of a
-# result become Partitions only at the end, each through a memo.
+# one integer addition.  The s keys are beta-sets with one bead per row,
+# bitmasks with the bead of row i = 0..l-1 at bit lam_i - i + l - 1, so a
+# shape has the same key at every degree and the empty shape is 0; adding a
+# k-strip moves one bead k places up (the abacus form of
+# Murnaghan-Nakayama).  The keys of a result become Partitions only at the
+# end, each through a memo.
 
 
 @lru_cache(maxsize=None)
 def _power_in_e(k: int, width: int) -> tuple[tuple[int, int], ...]:
-    """p_k in the e basis by Newton's identity, with packed keys (the
-    multiplicity of part j takes the ``width`` bits at offset j * width):
-    the coefficient of e_lam, for lam a partition of k, is
-    (-1)^(k - l) k (l - 1)! / prod_i m_i(lam)! with l the length of lam and
-    m_i its part multiplicities."""
-    out = []
-    for lam in _part_tuples(k, k):
-        ell = len(lam)
-        coeff = k * factorial(ell - 1) // prod(factorial(lam.count(part)) for part in set(lam))
-        key = sum(1 << width * part for part in lam)
-        out.append((key, -coeff if (k - ell) % 2 else coeff))
-    return tuple(out)
+    """p_k in the e basis, with packed keys (the multiplicity of part j
+    takes the ``width`` bits at offset j * width) in descending order, by
+    Newton's identity over the memoised rows of smaller k:
+    p_k = sum over i < k of (-1)^(i - 1) e_i p_(k - i), plus (-1)^(k - 1) k e_k."""
+    out = {1 << width * k: k if k % 2 else -k}
+    get = out.get
+    for i in range(1, k):
+        e_i = 1 << width * i
+        for key, c in _power_in_e(k - i, width):
+            key += e_i
+            out[key] = get(key, 0) + (c if i % 2 else -c)
+    return tuple(sorted(out.items(), reverse=True))
 
 
 def _times_newton(terms: Mapping[int, Coeff], k: int, width: int, out: dict) -> None:
@@ -356,11 +358,11 @@ def _unpack(key: int, width: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _beads_shape(beads: int, n: int) -> Partition:
-    """The Partition of a degree-n beta-set: the bead of row i sits at bit
-    lam_i - i + n, so the beads read from the top give the rows in order."""
+def _beads_shape(beads: int) -> Partition:
+    """The Partition of a beta-set: the bead of row i of l sits at bit
+    lam_i - i + l - 1, so the beads read from the top give the rows in order."""
     bits = [i for i in range(beads.bit_length()) if beads >> i & 1][::-1]
-    return Partition(bit + i - n for i, bit in enumerate(bits) if bit + i > n)
+    return Partition(bit + i + 1 - len(bits) for i, bit in enumerate(bits))
 
 
 @lru_cache(maxsize=None)
@@ -368,21 +370,25 @@ def _add_strips(beads: int, k: int) -> tuple[tuple[int, int], ...]:
     """Each beta-set whose shape adds a border strip of k cells to the shape
     of ``beads``, with the sign (-1)^(rows of the strip - 1).
 
-    Adding a k-strip moves one bead k places up to a free position; the
-    strip's rows are that bead's row and the rows of the beads it jumps.
+    A k-strip adds at most k rows, so k beads for empty rows go in below
+    first.  Adding the strip moves one bead k places up to a free position;
+    the strip's rows are that bead's row and the rows of the beads it
+    jumps.  The beads of rows left empty, the trailing ones, drop again.
     """
+    beads = beads << k | (1 << k) - 1
     movable = beads & ~beads >> k
     out = []
     while movable:
         low = movable & -movable
         movable ^= low
         jumped = (beads & (low << k) - (low << 1)).bit_count()
-        out.append((beads ^ low ^ low << k, -1 if jumped & 1 else 1))
+        moved = beads ^ low ^ low << k
+        out.append((moved >> (~moved & moved + 1).bit_length() - 1, -1 if jumped & 1 else 1))
     return tuple(out)
 
 
-def _times_strips(terms: Mapping[int, Coeff], k: int, n: int, out: dict) -> None:
-    """Add the s-terms, keyed by degree-n beta-sets, times p_k into ``out``:
+def _times_strips(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> None:
+    """Add the s-terms, keyed by beta-sets, times p_k into ``out``:
     p_k s_nu is the signed sum of s_lam over the k-strips lam/nu."""
     get = out.get
     for nu, c in terms.items():
@@ -406,7 +412,7 @@ def _times_strips(terms: Mapping[int, Coeff], k: int, n: int, out: dict) -> None
 # size, out) adds the target-basis terms times the k-th generator into
 # out.  ``size`` is what the target's keys need beyond themselves, and all
 # that a row depends on beyond its index: the field width of packed e keys
-# (bits per part multiplicity), the degree of s beta-sets, and 0 for m.
+# (bits per part multiplicity), and 0 for s and m.
 
 _STEPS = {
     ("p", "e"): _times_newton,
@@ -421,8 +427,8 @@ def _row(pair: tuple[str, str], size: int, mu: tuple) -> tuple[tuple[object, Coe
     """The basis element of ``pair``'s source indexed by mu, in its target:
     the row of mu without its largest part, times that part's generator."""
     if not mu:
-        # The constant 1; the empty shape's n beads fill bits 1..n.
-        return (({"m": Partition(), "e": 0, "s": (1 << size + 1) - 2}[pair[1]], 1),)
+        # The constant 1: the empty partition, packed or as a beta-set, is 0.
+        return ((Partition() if pair[1] == "m" else 0, 1),)
     out: dict = {}
     _STEPS[pair](dict(_row(pair, size, mu[1:])), mu[0], size, out)
     return tuple((key, c) for key, c in out.items() if c)
@@ -460,9 +466,8 @@ def _horner(pair: tuple[str, str], size: int, terms: Mapping[tuple, Coeff]) -> d
 def _from_p(f: SymFunc, target: str) -> SymFunc:
     """The power-sum function f in the e or s basis."""
     if target == "s":
-        n = f.degree
-        terms = _horner(("p", "s"), n, f.terms)
-        return SymFunc("s", n, {_beads_shape(lam, n): c for lam, c in terms.items() if c})
+        terms = _horner(("p", "s"), 0, f.terms)
+        return SymFunc("s", f.degree, {_beads_shape(lam): c for lam, c in terms.items() if c})
     # Bits per part multiplicity: a byte, as in the family recurrences,
     # unless a multiplicity could overflow it.
     width = max(8, f.degree.bit_length())

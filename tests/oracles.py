@@ -10,6 +10,7 @@ the same formula evaluated twice.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import factorial, prod
 
 from cslab import Partition, SymFunc
 
@@ -368,6 +369,27 @@ def partition_count(n: int) -> int:
             k += 1
         table[m] = total
     return table[n]
+
+
+def newton_power_in_e(k: int) -> list:
+    """p_k in the e basis by its closed form: the coefficient of e_lam, for
+    lam a partition of k, is (-1)^(k - l) k (l - 1)! / prod_i m_i(lam)!,
+    with l the length of lam and m_i its part multiplicities.  Returns
+    (lam, coefficient) pairs, lam in reverse-lexicographic descending order."""
+
+    def parts(left, cap):
+        if not left:
+            yield ()
+        for first in range(min(left, cap), 0, -1):
+            for rest in parts(left - first, first):
+                yield (first,) + rest
+
+    out = []
+    for lam in parts(k, k):
+        ell = len(lam)
+        coeff = k * factorial(ell - 1) // prod(factorial(lam.count(part)) for part in set(lam))
+        out.append((lam, (-1) ** (k - ell) * coeff))
+    return out
 
 
 def brute_representable(k: int, n: int) -> bool:

@@ -21,6 +21,7 @@ from oracles import (
     brute_kostka,
     expand_symfunc,
     falling_factorial,
+    newton_power_in_e,
 )
 
 from cslab import (
@@ -288,10 +289,10 @@ class TestPowerSumConversions:
         assert change_basis(f, "s").terms == {Partition((1, 1)): 2}
 
 
-def _beads(nu, n: int) -> int:
-    """The degree-n beta-set of nu: the bead of row i at nu_i - i + n."""
-    rows = tuple(nu) + (0,) * (n - len(nu))
-    return sum(1 << part - i + n for i, part in enumerate(rows))
+def _beads(nu) -> int:
+    """The beta-set of nu, one bead per row: the bead of row i of l at
+    nu_i - i + l - 1."""
+    return sum(1 << part - i + len(nu) - 1 for i, part in enumerate(nu))
 
 
 def _standard_tableaux(lam) -> int:
@@ -308,13 +309,17 @@ class TestBorderStrips:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_brute_force(self, k):
         for size in range(0, 11):
-            n = size + k
             for nu in enumerate_partitions(size):
-                beads = _beads(nu, n)
-                assert _beads_shape(beads, n) == nu
-                got = [(_beads_shape(lam, n), sign) for lam, sign in _add_strips(beads, k)]
+                beads = _beads(nu)
+                assert _beads_shape(beads) == nu
+                strips = _add_strips(beads, k)
+                got = [(_beads_shape(lam), sign) for lam, sign in strips]
                 assert dict(got) == brute_border_strips(nu, k), (nu, k)
                 assert len(got) == len(dict(got)), (nu, k)
+                # Every key is canonical: one bead per row, none for an
+                # empty row below them.
+                for (lam, _), (key, _) in zip(got, strips):
+                    assert not key & 1 and key.bit_count() == len(lam), (nu, k, lam)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_power_of_ones_counts_standard_tableaux(self, n):
@@ -322,14 +327,20 @@ class TestBorderStrips:
         f = change_basis(SymFunc.single("p", Partition((1,) * n)), "s")
         assert f.terms == {lam: _standard_tableaux(lam) for lam in enumerate_partitions(n)}
 
-    def test_rows_are_never_reused_across_degrees(self):
-        # A beta-set means a different shape at each degree, so each row is
-        # memoised per degree; both orders must agree with peeling from m.
+    def test_rows_are_shared_across_degrees(self):
+        # A beta-set means the same shape at every degree, so one memoised
+        # row serves them all; both orders must agree with peeling from m.
         functions = [
             SymFunc.single("p", mu, 1) for n in range(0, 9) for mu in enumerate_partitions(n)
         ]
         for f in functions + functions[::-1]:
             assert change_basis(f, "s") == _peel_from_m(_to_m(f), "s"), f
+        # p_(2,1)'s row is the tail of p_(3,2,1)'s, read at a lower degree.
+        symfunc._row.cache_clear()
+        change_basis(SymFunc.single("p", (3, 2, 1)), "s")
+        misses = symfunc._row.cache_info().misses
+        change_basis(SymFunc.single("p", (2, 1)), "s")
+        assert symfunc._row.cache_info().misses == misses
 
 
 class TestSpecializeOnes:
@@ -526,3 +537,14 @@ def test_newton_table_matches_peeling_from_m(k, width):
     # p_k in m by Horner's rule, then peeled into e through e->m rows.
     table = {_unpack(key, width): c for key, c in _power_in_e(k, width)}
     assert table == _peel_from_m(_to_m(SymFunc.single("p", (k,))), "e").terms
+
+
+@pytest.mark.parametrize("width", [8, 9])
+@pytest.mark.parametrize("k", range(1, 21))
+def test_newton_table_matches_closed_form(k, width):
+    # Reverse-lexicographic order of the partitions is descending order of
+    # their packed keys, the order in which the table lists them.
+    expected = tuple(
+        (sum(1 << width * part for part in lam), c) for lam, c in newton_power_in_e(k)
+    )
+    assert _power_in_e(k, width) == expected
