@@ -16,8 +16,9 @@ sweeps via --out csv, or an aligned table via --pretty.  Exit codes:
 --expect positive, 3 a size cap was hit (or "unknown-at-cap" under
 --expect positive), 4 an internal contradiction (a bug, not bad input),
 141 stdout was closed before the output was written (e.g. by ``| head``).
-The CSLAB_CAP environment variable supplies --cap when the flag is absent;
-a cap that is not a nonnegative integer is a usage error.
+--cap counts vertices in every verb; only a family recurrence's e-terms are
+uncapped.  The CSLAB_CAP environment variable supplies --cap when the flag
+is absent; a cap that is not a nonnegative integer is a usage error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import re
 import sys
 
 from .csf import ROUTES, compute_csf, extract_coefficient
-from .errors import InternalContradiction, TooLarge
+from .errors import DegreeMismatch, InternalContradiction, TooLarge
 from .graphs import parse_graph_spec
 from .partitions import parse_partition
 from .positivity import (
@@ -86,7 +87,7 @@ def _build_parser() -> _Parser:
     p_csf.add_argument("--graph", required=True, help="graph spec, e.g. spider:4,2,1")
     p_csf.add_argument("--basis", choices=("m", "e", "p", "s"), default="m")
     p_csf.add_argument("--route", choices=_ROUTE_CHOICES, default="auto")
-    cap_help = "edge cap for tree-p and degree cap for basis changes (default 24)"
+    cap_help = f"vertex cap, except on family-recurrence e-terms (default {DEFAULT_DEGREE_CAP})"
     p_csf.add_argument("--cap", type=int, default=None, help=cap_help)
     p_csf.add_argument("--pretty", action="store_true")
 
@@ -105,7 +106,8 @@ def _build_parser() -> _Parser:
     p_pos = add("positivity", "e- and Schur-positivity verdicts for one graph")
     p_pos.add_argument("--graph", required=True)
     p_pos.add_argument("--basis", choices=("e", "s", "both"), default="both")
-    p_pos.add_argument("--cap", type=int, default=None, help="full-expansion vertex cap")
+    p_pos.add_argument("--cap", type=int, default=None,
+                       help=f"vertex cap for full expansions (default {DEFAULT_VERTEX_CAP})")
     p_pos.add_argument("--expect", choices=("positive",), default=None)
     p_pos.add_argument("--trace", action="store_true", help="include the full screener trace")
     p_pos.add_argument("--pretty", action="store_true")
@@ -113,7 +115,8 @@ def _build_parser() -> _Parser:
     p_sweep = add("sweep", "positivity verdicts across a one-parameter family")
     p_sweep.add_argument("--family", required=True, help="template, e.g. spider:a,2,1")
     p_sweep.add_argument("--range", required=True, help="VAR=a..b, e.g. a=2..30")
-    p_sweep.add_argument("--cap", type=int, default=None)
+    p_sweep.add_argument("--cap", type=int, default=None,
+                         help=f"vertex cap for full expansions (default {DEFAULT_VERTEX_CAP})")
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", choices=("json", "csv"), default="json")
     p_sweep.add_argument("--expect", choices=("positive",), default=None)
@@ -124,7 +127,9 @@ def _build_parser() -> _Parser:
                         help="conjecture name or numeric alias")
     p_conj.add_argument("--limit", "--max-p", type=int, default=None, dest="limit",
                         help="how far to push the family parameter")
-    p_conj.add_argument("--cap", type=int, default=None)
+    p_conj.add_argument("--cap", type=int, default=None,
+                        help="vertex cap for full expansions; larger Schur instances are "
+                        f"skipped (default {DEFAULT_CONJECTURE_CAP})")
     p_conj.add_argument("--expect", choices=("positive",), default=None)
 
     p_verify = add("verify", "run a named cross-validation suite")
@@ -211,6 +216,8 @@ def _cmd_coeff(args) -> int:
     cap = _cap_or(args, DEFAULT_DEGREE_CAP)
     G = parse_graph_spec(args.graph)
     lam = parse_partition(args.partition)
+    if lam.n != G.n:
+        raise DegreeMismatch(f"partition sums to {lam.n} but the function has degree {G.n}")
     f = compute_csf(G, args.route, args.basis, cap=cap).value
     value = extract_coefficient(f, args.basis, lam)
     _print_json({

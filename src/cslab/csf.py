@@ -46,10 +46,11 @@ from .graphs import (
     Graph,
     _adjacency_masks,
     _component_sizes,
+    _double_broom_shape,
+    _hub_arms,
     connected_components,
     enumerate_stable_partitions,
     is_forest,
-    is_tree,
     spider_legs,
 )
 from .partitions import Partition
@@ -173,7 +174,7 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
     """Power-sum-basis CSF of a forest: the edge-subset sum of edge-p,
     evaluated by a dynamic programme over each rooted component instead of
     over the 2^m subsets.  Components multiply, because p is
-    multiplicative.  ``compute_csf`` bounds it by its edge cap."""
+    multiplicative.  ``compute_csf`` bounds it by its vertex cap."""
     m = G.edge_count
     components = connected_components(G)
     if m != G.n - len(components):
@@ -468,52 +469,10 @@ def extract_coefficient(f: SymFunc, basis: str, lam) -> Coeff:
     return g.coefficient(lam)
 
 
-def _double_broom_shape(G: Graph):
-    """(left, middle, right) if G is a double broom with both leaf bundles
-    of size >= 2, else None."""
-    if not is_tree(G) or G.n < 6:
-        return None
-    masks = _adjacency_masks(G)
-    degrees = [masks[v].bit_count() for v in range(G.n)]
-    hubs = [v for v in range(G.n) if degrees[v] >= 3]
-    if len(hubs) != 2:
-        return None
-    bundles = []
-    exits = []
-    for hub in hubs:
-        mask = masks[hub]
-        leaves = 0
-        exit_vertex = None
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            nb = bit.bit_length() - 1
-            if degrees[nb] == 1:
-                leaves += 1
-            else:
-                exit_vertex = nb
-        if leaves != degrees[hub] - 1 or exit_vertex is None:
-            return None
-        bundles.append(leaves)
-        exits.append(exit_vertex)
-    # Walk the hub-to-hub path; every interior vertex must have degree 2.
-    prev, cur = hubs[0], exits[0]
-    middle = 1
-    while cur != hubs[1]:
-        if degrees[cur] != 2:
-            return None
-        onward = masks[cur] & ~(1 << prev)
-        prev, cur = cur, onward.bit_length() - 1
-        middle += 1
-    if G.n != bundles[0] + middle + bundles[1] + 1:
-        return None
-    return bundles[0], middle, bundles[1]
-
-
 def _family_recurrence(G: Graph):
     """The closed family recurrence for G as a call with no arguments that
     returns (degree, packed e-terms), or None when none applies."""
-    if is_tree(G) and all(G.degree(v) <= 2 for v in range(G.n)):
+    if _hub_arms(G) == {}:
         return partial(_path_packed, G.n)
     legs = spider_legs(G)
     if legs is not None and legs.length == 3:
@@ -543,13 +502,15 @@ def compute_csf(
     G: Graph, route: str = "auto", basis: str | None = None, cap: int = DEFAULT_DEGREE_CAP
 ) -> CsfResult:
     """Compute the CSF by the requested route, in ``basis`` when one is
-    given (converted under the degree cap ``cap``), else in the route's own.
+    given, else in the route's own.
 
     "auto" picks the route from the graph and the target, in one fixed
     order: a family recurrence when the target is e or not given (its
     e-expansion needs no conversion), then tree-p for every other forest,
-    stable-m up to 12 vertices, and edge-p up to 24 edges.  Tree-p, chosen
-    or forced, refuses more than ``cap`` edges with TooLarge.
+    stable-m up to 12 vertices, and edge-p up to 24 edges.  Once the route
+    is chosen, a graph of more than ``cap`` vertices is refused with
+    TooLarge before anything is built, on every route and for every
+    target, except a family recurrence answering e or no basis.
     """
     choices = ("auto",) + ROUTES
     if route not in choices:
@@ -578,16 +539,11 @@ def compute_csf(
             )
         if basis in (None, "e"):
             return CsfResult(G, route, packed=family())
-        # The conversion would refuse the terms: refuse before building them.
-        if G.n > cap:
-            raise TooLarge(f"degree {G.n} exceeds the basis-change cap {cap}")
-        value = _e_function(*family())
-    else:
-        if route == "tree-p" and G.edge_count > cap:
-            raise TooLarge(f"{G.edge_count} edges exceed the tree-p cap {cap}")
-        # The memo key ignores the graph's label (Graph equality does), so the
-        # result wraps the caller's graph, not the one first cached.
-        value = _generic_csf(G, route)
+    if G.n > cap:
+        raise TooLarge(f"{G.n} vertices exceed the cap {cap}")
+    # The memo key ignores the graph's label (Graph equality does), so the
+    # result wraps the caller's graph, not the one first cached.
+    value = _e_function(*family()) if family else _generic_csf(G, route)
     if basis is not None and value.basis != basis:
         value = change_basis(value, basis, cap=cap)
     return CsfResult(G, route, value)

@@ -312,34 +312,58 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, frozenset(edges), label=f"random-graph:{n}")
 
 
+def _hub_arms(G: Graph):
+    """Each vertex of degree >= 3 of a tree (a hub), mapped to its arms as
+    (length, end) pairs: the walk from the hub through vertices of degree
+    2, stopped at the first vertex of another degree.  None unless G is a
+    tree."""
+    if not is_tree(G):
+        return None
+    masks = _adjacency_masks(G)
+    arms = {}
+    for hub in range(G.n):
+        mask = masks[hub]
+        if mask.bit_count() < 3:
+            continue
+        walks = []
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            prev, cur = hub, bit.bit_length() - 1
+            length = 1
+            while masks[cur].bit_count() == 2:
+                prev, cur = cur, (masks[cur] & ~(1 << prev)).bit_length() - 1
+                length += 1
+            walks.append((length, cur))
+        arms[hub] = walks
+    return arms
+
+
 def spider_legs(G: Graph):
     """Leg-length partition if G is a spider, else None.
 
     A spider is a tree with exactly one vertex of degree at least 3; its
     legs are the paths from that center to the leaves.
     """
-    if not is_tree(G):
+    arms = _hub_arms(G)
+    if arms is None or len(arms) != 1:
         return None
-    masks = _adjacency_masks(G)
-    centers = [v for v in range(G.n) if masks[v].bit_count() >= 3]
-    if len(centers) != 1:
+    (walks,) = arms.values()
+    return Partition(sorted((length for length, _ in walks), reverse=True))
+
+
+def _double_broom_shape(G: Graph):
+    """(left, middle, right) if G is a double broom with both leaf bundles
+    of size >= 2, else None: a tree with two hubs, one arm between them
+    and every other arm a single leaf."""
+    arms = _hub_arms(G)
+    if arms is None or len(arms) != 2:
         return None
-    center = centers[0]
-    legs = []
-    mask = masks[center]
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        prev, cur = center, bit.bit_length() - 1
-        length = 1
-        while True:
-            onward = masks[cur] & ~(1 << prev)
-            if not onward:
-                break
-            prev, cur = cur, onward.bit_length() - 1
-            length += 1
-        legs.append(length)
-    return Partition(sorted(legs, reverse=True))
+    (_, left), (hub, right) = arms.items()
+    (middle,) = [length for length, end in left if end == hub]
+    if any(length > 1 for length, end in left + right if end not in arms):
+        return None
+    return len(left) - 1, middle, len(right) - 1
 
 
 # -- stable partitions --------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csf import _double_broom_shape, _family_recurrence, compute_csf
+from .csf import compute_csf
 from .errors import (
     BadParity,
     BadSpec,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _double_broom_shape,
     balanced_stable_bipartition,
     has_connected_partition,
     parse_graph_spec,
@@ -264,35 +265,34 @@ def _connected_cover_trace(G: Graph):
     return ("connected-partition-cover", True, "every partition type is realized connectedly")
 
 
-def _decide(G: Graph, basis: str, trace: tuple, route, candidates) -> tuple:
+def _decide(G: Graph, basis: str, trace: tuple, cap: int, candidates) -> tuple:
     """The one order of decisions behind both positivity questions; returns
     (verdict, witness).
 
-    With a ``route``, the full expansion in ``basis`` decides: a negative
-    minimum is the witness of "no", and a nonnegative one beside a failed
-    screener is an internal contradiction.  Without one, or when the
-    expansion is too large after all, the first negative value among the
-    lazily computed (partition, value) ``candidates`` is the witness of
-    "no"; failing that, a failed screener alone proves "no", and otherwise
-    the question is unknown at the cap.
+    When ``compute_csf`` has the full expansion in ``basis`` in reach of
+    ``cap``, it decides: a negative minimum is the witness of "no", and a
+    nonnegative one beside a failed screener is an internal contradiction.
+    Out of reach, the first negative value among the lazily computed
+    (partition, value) ``candidates`` is the witness of "no"; failing
+    that, a failed screener alone proves "no", and otherwise the question
+    is unknown at the cap.
     """
     failed = [name for name, passed, _ in trace if not passed]
-    if route is not None:
-        try:
-            expansion = compute_csf(G, route, basis, cap=G.n)
-        except TooLarge:
-            pass
-        else:
-            lam, coeff = expansion.min_coefficient()
-            if coeff < 0:
-                return NO, Witness(basis, lam, coeff)
-            if failed:
-                raise InternalContradiction(
-                    f"screener contradicts a nonnegative {basis}-expansion on "
-                    f"{G.label or G} (failed: {', '.join(failed)}): "
-                    "one of the two is implemented wrongly"
-                )
-            return YES, None
+    try:
+        expansion = compute_csf(G, "auto", basis, cap=cap)
+    except TooLarge:
+        pass
+    else:
+        lam, coeff = expansion.min_coefficient()
+        if coeff < 0:
+            return NO, Witness(basis, lam, coeff)
+        if failed:
+            raise InternalContradiction(
+                f"screener contradicts a nonnegative {basis}-expansion on "
+                f"{G.label or G} (failed: {', '.join(failed)}): "
+                "one of the two is implemented wrongly"
+            )
+        return YES, None
     for lam, value in candidates:
         if value < 0:
             return NO, Witness(basis, lam, value)
@@ -323,8 +323,7 @@ def e_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityReport:
     if cover is not None:
         trace.append(cover)
     trace = tuple(trace)
-    route = "auto" if G.n <= cap or _family_recurrence(G) else None
-    verdict, witness = _decide(G, "e", trace, route, candidates)
+    verdict, witness = _decide(G, "e", trace, cap, candidates)
     return PositivityReport(G, e_positive=verdict, witness=witness, screener_trace=trace)
 
 
@@ -368,8 +367,7 @@ def schur_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityRepor
     unknown-at-cap.
     """
     trace = (_balance_trace(G),)
-    route = "auto" if G.n <= cap else None
-    verdict, witness = _decide(G, "s", trace, route, _targeted_coefficients(G))
+    verdict, witness = _decide(G, "s", trace, cap, _targeted_coefficients(G))
     return PositivityReport(G, schur_positive=verdict, witness=witness, screener_trace=trace)
 
 

@@ -80,22 +80,24 @@ class TestCsfVerb:
         assert edges["route"] == "edge-p"
         assert auto["terms"] == edges["terms"]
 
-    def test_tree_dp_keeps_the_edge_cap(self, capsys):
-        # The p target needs no conversion, so the DP's cap alone refuses.
-        argv = ["csf", "--graph", "path:26", "--route", "tree-p", "--basis", "p"]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 3 and out == ""
-        assert "capped: 25 edges exceed the tree-p cap 24" in err
-        code, out, _ = run_cli(argv + ["--cap", "25"], capsys)
-        assert code == 0
-        assert json.loads(out)["route"] == "tree-p"
+    def test_tree_dp_keeps_the_vertex_cap(self, capsys):
+        # The p target needs no conversion, yet the cap refuses 25 vertices
+        # (24 edges) and admits them at --cap 25.
+        for route in ("auto", "tree-p"):
+            argv = ["csf", "--graph", "path:25", "--route", route, "--basis", "p"]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 3 and out == ""
+            assert "capped: 25 vertices exceed the cap 24" in err
+            code, out, _ = run_cli(argv + ["--cap", "25"], capsys)
+            assert code == 0
+            assert json.loads(out)["route"] == "tree-p"
 
     def test_small_cap_refuses_the_tree_dp_in_its_own_basis(self, capsys):
         # p needs no conversion, but the cap still bounds the DP itself.
-        argv = ["csf", "--graph", "claw", "--basis", "p", "--cap", "2"]
+        argv = ["csf", "--graph", "claw", "--basis", "p", "--cap", "3"]
         code, out, err = run_cli(argv, capsys)
         assert code == 3 and out == ""
-        assert "capped: 3 edges exceed the tree-p cap 2" in err
+        assert "capped: 4 vertices exceed the cap 3" in err
 
     def test_negative_cap_is_a_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -160,6 +162,16 @@ class TestCoeffVerbs:
         )
         assert code == 0
         assert json.loads(out)["coeff"] == "2"
+
+    def test_wrong_size_partition_is_refused_before_expanding(self, capsys, monkeypatch):
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("coeff expanded before checking the partition")
+
+        monkeypatch.setattr("cslab.cli.compute_csf", no_expansion)
+        argv = ["coeff", "--graph", "path:4", "--basis", "e", "--partition", "2,1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert "cslab: error: partition sums to 3 but the function has degree 4" in err
 
     def test_schur_coefficient_with_trace(self, capsys):
         code, out, _ = run_cli(

@@ -150,39 +150,68 @@ class TestRouteAgreement:
             with pytest.raises(TooLarge, match="no route"):
                 compute_csf(build_family("complete", 14), basis=basis)
         # Past the cap every other target still goes to the tree DP, which
-        # refuses; the recurrence never serves it.
+        # is refused by vertex count; the recurrence never serves it.
         path = build_family("path", 30)
         assert compute_csf(path, basis="e").route == "family-recurrence"
-        with pytest.raises(TooLarge, match="tree-p cap 24"):
+        with pytest.raises(TooLarge, match="30 vertices exceed the cap 24"):
             compute_csf(path, basis="s")
-        assert compute_csf(path, basis="p", cap=29).route == "tree-p"
+        assert compute_csf(path, basis="p", cap=30).route == "tree-p"
 
     def test_capped_conversion_refuses_before_the_recurrence_runs(self):
-        # A forced recurrence's e-terms would be refused by the conversion
-        # past the cap, so they are never built; auto refuses at the tree
-        # DP's cap instead.  Either way the path series does not grow.
+        # Past the cap, a forced recurrence converting to another basis and
+        # auto's tree DP are both refused by vertex count before anything is
+        # built, so the path series does not grow.
         filled = len(csf_module._PATH_TERMS)
         n = max(filled, 30)
         spider = parse_graph_spec(f"spider:{n - 3},1,1")
         for G, basis in ((build_family("path", n), "s"), (spider, "p")):
-            with pytest.raises(TooLarge, match="basis-change cap 24"):
-                compute_csf(G, "family-recurrence", basis=basis)
-            with pytest.raises(TooLarge, match="tree-p cap 24"):
-                compute_csf(G, basis=basis)
+            for route in ("family-recurrence", "auto"):
+                with pytest.raises(TooLarge, match=f"{n} vertices exceed the cap 24"):
+                    compute_csf(G, route, basis=basis)
         assert len(csf_module._PATH_TERMS) == filled
 
     @pytest.mark.parametrize("route", ["auto", "tree-p"])
     @pytest.mark.parametrize("basis", [None, "m", "e", "p", "s"])
     def test_forest_past_the_cap_is_refused_naming_the_cap(self, route, basis):
+        # The cap counts the forest's 9 vertices, not its 7 edges, whatever
+        # the target.
         forest = parse_graph_spec("edges:9:0-1,1-2,2-3,4-5,5-6,5-7,5-8")
-        with pytest.raises(TooLarge, match="7 edges exceed the tree-p cap 6"):
-            compute_csf(forest, route, basis, cap=6)
-        # At 7 the DP runs; only a conversion still needs the degree, 9.
-        if basis in (None, "p"):
-            assert compute_csf(forest, route, basis, cap=7).route == "tree-p"
-        else:
-            with pytest.raises(TooLarge, match="degree 9 exceeds the basis-change cap 7"):
-                compute_csf(forest, route, basis, cap=7)
+        for cap in (6, 7, 8):
+            with pytest.raises(TooLarge, match=f"9 vertices exceed the cap {cap}"):
+                compute_csf(forest, route, basis, cap=cap)
+        result = compute_csf(forest, route, basis, cap=9)
+        assert result.route == "tree-p"
+        assert result.value.basis == (basis or "p")
+
+    @pytest.mark.parametrize("basis", [None, "m", "e", "p", "s"])
+    @pytest.mark.parametrize(
+        "spec, route",
+        [("path:8", route) for route in ("auto",) + ROUTES]
+        + [("cycle:6", route) for route in ("auto", "stable-m", "edge-p")],
+    )
+    def test_cap_counts_vertices_on_every_route(self, spec, route, basis, monkeypatch):
+        # At n = cap the call runs; at n = cap + 1 it is refused before any
+        # expansion or conversion starts, except a recurrence answering e.
+        G = parse_graph_spec(spec)
+        answers_e = basis in (None, "e") and (
+            route == "family-recurrence" or (route == "auto" and spec == "path:8")
+        )
+        expected = compute_csf(G, route, basis, cap=G.n)
+        assert expected.value.degree == G.n
+        if answers_e:
+            result = compute_csf(G, route, basis, cap=G.n - 1)
+            assert result.route == "family-recurrence"
+            assert result.value == expected.value
+            return
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("built past the cap")
+
+        for name in ("_generic_csf", "_path_packed", "_spider_packed", "_broom_packed",
+                     "change_basis"):
+            monkeypatch.setattr(csf_module, name, must_not_run)
+        with pytest.raises(TooLarge, match=f"^{G.n} vertices exceed the cap {G.n - 1}$"):
+            compute_csf(G, route, basis, cap=G.n - 1)
 
     def test_tree_dp_past_24_edges_matches_the_recurrences(self):
         spider = compute_csf(parse_graph_spec("spider:20,4,1"), "tree-p", "e", cap=26)

@@ -41,6 +41,14 @@ from cslab import (
     specialize_ones,
     spider_legs,
 )
+from cslab.graphs import _double_broom_shape
+
+
+def _relabelled(G: Graph, rng: random.Random) -> Graph:
+    """G with its vertices permuted at random."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return Graph(G.n, frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in G.edges))
 
 
 def is_connected(G: Graph) -> bool:
@@ -120,6 +128,39 @@ class TestFamilies:
         # A bare path has no branch vertex, so it is not a spider here.
         assert spider_legs(build_family("path", 5)) is None
         assert spider_legs(build_family("claw")) == Partition((1, 1, 1))
+
+    def test_double_broom_shape_survives_relabelling(self):
+        # Every dbroom:l,m,r with l, r >= 2 on at most 16 vertices.
+        rng = random.Random(5)
+        shapes = [(l, m, r) for l in range(2, 14) for m in range(1, 14) for r in range(2, 14)
+                  if l + m + r + 1 <= 16]
+        assert len(shapes) == 286
+        for left, middle, right in shapes:
+            G = _relabelled(build_family("dbroom", left, middle, right), rng)
+            shape = _double_broom_shape(G)
+            assert shape is not None and shape[1] == middle, (left, middle, right)
+            assert sorted((shape[0], shape[2])) == sorted((left, right)), (left, middle, right)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["spider:4,2,1", "spider:3,3,3,3", "broom:5,3", "path:1", "path:7", "cycle:8",
+         "star:6",
+         # Three vertices of degree 3 in a row.
+         "edges:8:0-1,1-4,1-2,2-5,2-3,3-6,3-7",
+         # dbroom:2,4,2 with a pendant on the middle path.
+         "edges:10:0-2,1-2,2-3,3-4,4-5,5-6,6-7,6-8,4-9",
+         # Two hubs, but one arm is two edges long rather than a leaf.
+         "edges:8:0-2,1-2,2-3,3-4,4-5,4-6,6-7"],
+    )
+    def test_double_broom_shape_rejects_other_graphs(self, spec):
+        G = parse_graph_spec(spec)
+        assert _double_broom_shape(G) is None
+        assert _double_broom_shape(_relabelled(G, random.Random(7))) is None
+
+    @pytest.mark.parametrize("legs", [(1, 1, 1), (4, 2, 1), (5, 5, 2), (3, 2, 2, 1), (6, 1, 1, 1, 1)])
+    def test_spider_legs_survive_relabelling(self, legs):
+        G = _relabelled(build_family("spider", *legs), random.Random(sum(legs)))
+        assert spider_legs(G) == Partition(legs)
 
     def test_families_are_connected(self):
         for spec in ("path:6", "cycle:6", "star:5", "complete:4", "claw",
