@@ -17,12 +17,12 @@ ways, which deliberately share no code path:
 - family-recurrence: closed recurrences in the elementary basis for paths,
   three-leg spiders, and the two-leaf odd double brooms, which stay sparse
   far beyond where full expansions are feasible.  They key their terms by
-  packed part-multiplicity integers, so a product of two terms is one
-  integer addition, over one bottom-up memo of the path series.  A key is
-  decoded into its Partition from its own bytes: every key when a SymFunc
-  is wanted, only the keys holding the minimum when an e-positivity
-  verdict is.  They stop at 255 vertices, where a multiplicity would
-  overflow its byte.
+  mixed-radix integers, one digit per part multiplicity with radixes
+  sized to the degree (tiers of 64 and 255 vertices), so a product of two
+  terms is one integer addition, over one bottom-up memo of the path
+  series per tier.  A key is decoded into its Partition from its own
+  digits: every key when a SymFunc is wanted, only the keys holding the
+  minimum when an e-positivity verdict is.  They stop at 255 vertices.
 
 ``compute_csf`` is the one place that chooses and runs a route, from the
 graph and the target basis, and converts the result to that basis; the
@@ -38,6 +38,7 @@ the monomial basis.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache, partial
 from math import factorial
 
@@ -46,12 +47,12 @@ from .graphs import (
     Graph,
     _adjacency_masks,
     _component_sizes,
-    _double_broom_shape,
+    _double_broom_of,
     _hub_arms,
+    _spider_of,
     connected_components,
     enumerate_stable_partitions,
     is_forest,
-    spider_legs,
 )
 from .partitions import Partition
 from .symfunc import DEFAULT_DEGREE_CAP, Coeff, SymFunc, _unpack, change_basis
@@ -199,78 +200,85 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
 
 # -- path recurrence ----------------------------------------------------------
 #
-# The family recurrences key their terms by packed multiplicity integers:
-# the multiplicity of part k takes the 8 bits at offset 8k, so the key of
-# e_lam e_mu is key(lam) + key(mu) and no product sorts anything.  A
-# multiplicity fits its byte only while the degree stays below 256.  Each
-# recurrence returns (degree, packed terms); a key becomes a Partition only
-# when it is decoded, from its own bytes and through Partition, so every key
-# that reaches a caller is still validated.
-
-#: Largest degree whose part multiplicities all fit in one byte.
-_MAX_DEGREE = 255
-
-#: e-terms of X(P_m) for m = 0, 1, ..., as {packed key: coefficient}.
-#: Filled bottom-up and never handed out: callers copy before adding.
-_PATH_TERMS: dict[int, dict[int, int]] = {0: {0: 1}}
+# The family recurrences key their terms by mixed-radix integers.  For
+# results of degree at most N, the multiplicity of part k (at most N // k)
+# is the digit of radix N // k + 1 at place B[k] = prod_{j<k} (N // j + 1),
+# so no digit carries and the key of e_lam e_mu is key(lam) + key(mu).  The
+# outermost call picks N (64 or 255) from the result's degree for every term
+# it builds.  Keys are decoded through Partition, which validates them.
 
 
-def _check_degree(n: int) -> None:
-    if n > _MAX_DEGREE:
-        raise TooLarge(
-            f"the family recurrences pack part multiplicities into bytes and "
-            f"stop at {_MAX_DEGREE} vertices, got {n}"
-        )
+class _Tier:
+    """Place values ``places[k]`` = B[k] of the keys of degree at most
+    ``size`` (``places[0]`` = 0, ``places[size + 1]`` exceeds every key),
+    and the e-terms of X(P_m) in those keys, filled bottom-up and never
+    handed out: callers copy them."""
+
+    def __init__(self, size: int):
+        self.size, self.places, self.paths = size, [0, 1], {0: {0: 1}}
+        for k in range(1, size + 1):
+            self.places.append(self.places[-1] * (size // k + 1))
 
 
-def _path_terms(n: int) -> dict:
-    """e-terms of the n-vertex path, filling the memo up to n in a loop so
-    that no call recurses.  Every key m is stored only after all smaller
-    ones, so concurrent fillers compute the same tables."""
-    for m in range(len(_PATH_TERMS), n + 1):
-        out: dict = {1 << 8 * m: 1}
+_TIERS = (_Tier(64), _Tier(255))
+
+
+def _tier(n: int) -> _Tier:
+    """The smallest tier that keys degree n."""
+    if n > _TIERS[-1].size:
+        raise TooLarge(f"the family recurrences key part multiplicities as integer digits "
+                       f"and stop at {_TIERS[-1].size} vertices, got {n}")
+    return _TIERS[0] if n <= _TIERS[0].size else _TIERS[1]
+
+
+def _path_terms(n: int, tier: _Tier) -> dict:
+    """e-terms of the n-vertex path in ``tier``'s keys, filling its memo up
+    to n in a loop so that no call recurses.  Every key m is stored only
+    after all smaller ones, so concurrent fillers compute the same tables."""
+    memo, places = tier.paths, tier.places
+    for m in range(len(memo), n + 1):
+        out: dict = {places[m]: 1}
         get = out.get
         for k in range(2, m + 1):
             weight = k - 1
-            part = 1 << 8 * k
-            for lam, c in _PATH_TERMS[m - k].items():
+            part = places[k]
+            for lam, c in memo[m - k].items():
                 key = lam + part
                 out[key] = get(key, 0) + weight * c
-        _PATH_TERMS.setdefault(m, out)
-    return _PATH_TERMS[n]
+        memo.setdefault(m, out)
+    return memo[n]
 
 
-def _decode(key: int) -> Partition:
-    """The Partition of a packed key, peeled from its top byte down, so the
-    parts come out in decreasing order."""
+def _decode(key: int, n: int) -> Partition:
+    """The Partition of a packed key of a degree-n result, peeled from its
+    top digit down, so the parts come out in decreasing order."""
+    places = _tier(n).places
     parts: list = []
     while key:
-        shift = (key.bit_length() - 1) & ~7
-        count = key >> shift
-        parts += [shift >> 3] * count
-        key -= count << shift
+        part = bisect_right(places, key) - 1
+        count, key = divmod(key, places[part])
+        parts += [part] * count
     return Partition(parts)
 
 
 def _e_function(n: int, terms: dict) -> SymFunc:
     """The degree-n e-basis SymFunc of packed terms, every nonzero key
     decoded."""
-    return SymFunc("e", n, {_decode(key): c for key, c in terms.items() if c})
+    return SymFunc("e", n, {_decode(key, n): c for key, c in terms.items() if c})
 
 
 def _packed_min(n: int, terms: dict) -> tuple[Partition, int]:
     """``_e_function(n, terms).min_coefficient()``, decoding only the keys
     that hold the smallest nonzero coefficient."""
     low = min(filter(None, terms.values()), default=0)
-    return SymFunc("e", n, {_decode(k): c for k, c in terms.items() if c == low}).min_coefficient()
+    return SymFunc("e", n, {_decode(k, n): c for k, c in terms.items() if c == low}).min_coefficient()
 
 
 def _path_packed(n: int) -> tuple[int, dict]:
     """Degree and packed e-terms of the n-vertex path: the memo's own dict."""
     if n < 0:
         raise BadSpec(f"path length must be nonnegative, got {n}")
-    _check_degree(n)
-    return n, _path_terms(n)
+    return n, _path_terms(n, _tier(n))
 
 
 @lru_cache(maxsize=None)
@@ -280,11 +288,11 @@ def path_csf_e(n: int) -> SymFunc:
     X(P_0) = 1 (the empty graph's CSF is the empty product), and
     X(P_n) = e_n + sum over k in 2..n of (k-1) e_k X(P_{n-k}); the series
     starts 1, e_1, 2 e_2, 3 e_3 + e_{2,1}, ...  The series is computed on
-    packed multiplicity keys into one memo, filled bottom-up in a loop so
-    that no call recurses; this call decodes the keys of degree n.  The
-    spider and broom recurrences read that memo, never the SymFunc
-    returned here, whose terms are read-only.  Raises TooLarge past 255
-    vertices, where a multiplicity would overflow its byte.
+    packed multiplicity keys into one memo per key tier, filled bottom-up
+    in a loop so that no call recurses; this call decodes the keys of
+    degree n.  The spider and broom recurrences read those memos, never
+    the SymFunc returned here, whose terms are read-only.  Raises TooLarge
+    past 255 vertices, the largest tier.
     """
     return _e_function(*_path_packed(n))
 
@@ -329,19 +337,20 @@ def wolfe_path_coefficient(lam, d: int) -> int:
 # -- spider and broom recurrences ---------------------------------------------
 
 
-def _spider_packed(a: int, b: int, c: int) -> tuple[int, dict]:
+def _spider_packed(a: int, b: int, c: int, tier: _Tier | None = None) -> tuple[int, dict]:
     """Degree and packed e-terms of the spider S(a, b, c), as a fresh dict:
-    the path terms plus the signed pairwise products."""
+    the path terms plus the signed pairwise products, in ``tier``'s keys
+    (by default, those of its own degree)."""
     if not (a >= b >= c >= 1):
         raise BadSpec(f"spider legs must satisfy a >= b >= c >= 1, got ({a}, {b}, {c})")
     n = a + b + c + 1
-    _check_degree(n)
-    total = _path_terms(n).copy()
+    tier = tier or _tier(n)
+    total = _path_terms(n, tier).copy()
     get = total.get
     for i in range(1, c + 1):
         for left, right, sign in ((i, n - i, 1), (b + i, n - b - i, -1)):
-            right_terms = _path_terms(right).items()
-            for lam, x in _path_terms(left).items():
+            right_terms = _path_terms(right, tier).items()
+            for lam, x in _path_terms(left, tier).items():
                 x *= sign
                 for mu, y in right_terms:
                     key = lam + mu
@@ -367,11 +376,12 @@ def _broom_packed(middle: int) -> tuple[int, dict]:
     if middle < 1 or middle % 2 == 0:
         raise BadSpec(f"broom_csf needs an odd positive middle, got {middle}")
     p = (middle + 1) // 2
-    n, total = _spider_packed(2 * p + 1, 1, 1)
+    tier = _tier(2 * p + 4)
+    n, total = _spider_packed(2 * p + 1, 1, 1, tier)
     get = total.get
     # The packed keys of e_1 and e_2.
-    for legs, part, scale in ((2 * p, 1 << 8, 1), (2 * p - 1, 1 << 16, -2)):
-        for lam, x in _spider_packed(legs, 1, 1)[1].items():
+    for legs, part, scale in ((2 * p, tier.places[1], 1), (2 * p - 1, tier.places[2], -2)):
+        for lam, x in _spider_packed(legs, 1, 1, tier)[1].items():
             key = lam + part
             total[key] = get(key, 0) + scale * x
     return n, total
@@ -471,13 +481,15 @@ def extract_coefficient(f: SymFunc, basis: str, lam) -> Coeff:
 
 def _family_recurrence(G: Graph):
     """The closed family recurrence for G as a call with no arguments that
-    returns (degree, packed e-terms), or None when none applies."""
-    if _hub_arms(G) == {}:
+    returns (degree, packed e-terms), or None when none applies; one
+    ``_hub_arms`` walk answers all three tests."""
+    arms = _hub_arms(G)
+    if arms == {}:
         return partial(_path_packed, G.n)
-    legs = spider_legs(G)
+    legs = _spider_of(arms)
     if legs is not None and legs.length == 3:
         return partial(_spider_packed, *legs)
-    shape = _double_broom_shape(G)
+    shape = _double_broom_of(arms)
     if shape is not None:
         left, middle, right = shape
         if left == 2 and right == 2 and middle % 2 == 1:

@@ -468,8 +468,8 @@ def _from_p(f: SymFunc, target: str) -> SymFunc:
     if target == "s":
         terms = _horner(("p", "s"), 0, f.terms)
         return SymFunc("s", f.degree, {_beads_shape(lam): c for lam, c in terms.items() if c})
-    # Bits per part multiplicity: a byte, as in the family recurrences,
-    # unless a multiplicity could overflow it.
+    # Bits per part multiplicity: a byte, unless a multiplicity could
+    # overflow it.
     width = max(8, f.degree.bit_length())
     packed = _horner(("p", "e"), width, f.terms)
     return SymFunc("e", f.degree, {_unpack(key, width): c for key, c in packed.items() if c})

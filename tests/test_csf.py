@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csf_by_colorings, expand_symfunc, odd_broom_e, pendant_spider_e
+from oracles import (
+    csf_by_colorings,
+    expand_symfunc,
+    odd_broom_e,
+    path_e_terms,
+    pendant_spider_e,
+)
 
 from cslab import (
     BadSpec,
@@ -47,6 +53,18 @@ from cslab import (
 from cslab import csf as csf_module
 from cslab.csf import CsfResult
 from cslab.graphs import is_forest
+
+
+@pytest.fixture
+def fresh_tiers(monkeypatch):
+    """Both key tiers with empty path memos, so that a test sees every
+    memo entry the code under test adds."""
+    monkeypatch.setattr(csf_module, "_TIERS", (csf_module._Tier(64), csf_module._Tier(255)))
+
+
+def _memo_entries() -> int:
+    """Path-series entries stored across every key tier."""
+    return sum(len(tier.paths) for tier in csf_module._TIERS)
 
 
 def e(parts, coeff=1):
@@ -157,18 +175,17 @@ class TestRouteAgreement:
             compute_csf(path, basis="s")
         assert compute_csf(path, basis="p", cap=30).route == "tree-p"
 
-    def test_capped_conversion_refuses_before_the_recurrence_runs(self):
+    def test_capped_conversion_refuses_before_the_recurrence_runs(self, fresh_tiers):
         # Past the cap, a forced recurrence converting to another basis and
         # auto's tree DP are both refused by vertex count before anything is
-        # built, so the path series does not grow.
-        filled = len(csf_module._PATH_TERMS)
-        n = max(filled, 30)
+        # built, so no path memo grows.
+        n = 30
         spider = parse_graph_spec(f"spider:{n - 3},1,1")
         for G, basis in ((build_family("path", n), "s"), (spider, "p")):
             for route in ("family-recurrence", "auto"):
                 with pytest.raises(TooLarge, match=f"{n} vertices exceed the cap 24"):
                     compute_csf(G, route, basis=basis)
-        assert len(csf_module._PATH_TERMS) == filled
+        assert _memo_entries() == 2
 
     @pytest.mark.parametrize("route", ["auto", "tree-p"])
     @pytest.mark.parametrize("basis", [None, "m", "e", "p", "s"])
@@ -493,7 +510,7 @@ _SWEEP_FAMILIES = [
 
 class TestPackedRecurrences:
     """The recurrences on packed multiplicity keys: values pinned from the
-    tuple implementation they replaced, and the byte-width bound."""
+    tuple implementation they replaced, and the 255-vertex bound."""
 
     @pytest.mark.parametrize(
         "f, spec, terms, lam, coeff",
@@ -538,13 +555,17 @@ class TestPackedRecurrences:
         assert compute_csf(G).min_coefficient() == spider_csf(*legs).min_coefficient()
 
     def test_path_memo_keys_decode_to_their_partition(self):
-        csf_module._path_terms(40)
-        for m in range(41):
-            for key in csf_module._PATH_TERMS[m]:
-                lam = csf_module._decode(key)
-                assert type(lam) is Partition and lam.n == m
-                pairs = lam.multiplicities().pairs
-                assert sum(count << 8 * part for part, count in pairs) == key
+        # Every key of the 40-vertex path series, in each tier, decodes (as
+        # part of a result of that tier's largest degree) to a partition of
+        # its path length whose digits rebuild the key.
+        for tier in csf_module._TIERS:
+            csf_module._path_terms(40, tier)
+            for m in range(41):
+                for key in tier.paths[m]:
+                    lam = csf_module._decode(key, tier.size)
+                    assert type(lam) is Partition and lam.n == m
+                    pairs = lam.multiplicities().pairs
+                    assert sum(count * tier.places[part] for part, count in pairs) == key
 
     def test_pinned_path_series(self):
         f = path_csf_e(40)
@@ -577,11 +598,82 @@ class TestPackedRecurrences:
          lambda: spider_csf(200, 50, 5), lambda: broom_csf(251)],
         ids=["P2000", "P256", "S(200,50,5)", "br251"],
     )
-    def test_past_the_byte_width_raises_at_once(self, f):
-        filled = len(csf_module._PATH_TERMS)
-        with pytest.raises(TooLarge, match="255 vertices"):
+    def test_past_the_byte_width_raises_at_once(self, f, fresh_tiers):
+        with pytest.raises(TooLarge, match="stop at 255 vertices, got"):
             f()
-        assert len(csf_module._PATH_TERMS) == filled
+        assert _memo_entries() == 2
+
+
+def _tree_e(G) -> SymFunc:
+    return change_basis(csf_via_tree_dp(G), "e")
+
+
+@st.composite
+def _partition_pair(draw, size):
+    """Two part lists whose sizes add up to at most ``size``."""
+    left, parts = draw(st.integers(0, size)), []
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    sides = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+    return [p for p, s in zip(parts, sides) if s], [p for p, s in zip(parts, sides) if not s]
+
+
+class TestKeyTiers:
+    """The mixed-radix keys of the family recurrences: every digit fits
+    below the next place, a sum of keys within a tier's degree is the key
+    of the union, and the recurrences match their oracles on both sides
+    of a tier boundary."""
+
+    @pytest.mark.parametrize("tier", range(2), ids=["N=64", "N=255"])
+    def test_largest_digit_fits_below_the_next_place(self, tier):
+        # The largest multiplicity of part k is N // k: k^(N // k) keeps it
+        # below B[k + 1], and decodes back.
+        tier = csf_module._TIERS[tier]
+        places = tier.places
+        assert places[:2] == [0, 1] and len(places) == tier.size + 2
+        for k in range(1, tier.size + 1):
+            count = tier.size // k
+            assert places[k] * count < places[k + 1]
+            assert csf_module._decode(places[k] * count, tier.size) == Partition((k,) * count)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("tier", range(2), ids=["N=64", "N=255"])
+    def test_sum_of_keys_is_the_key_of_the_union(self, tier, data):
+        tier = csf_module._TIERS[tier]
+        lam, mu = data.draw(_partition_pair(tier.size))
+        key = sum(tier.places[k] for k in lam) + sum(tier.places[k] for k in mu)
+        assert csf_module._decode(key, tier.size) == Partition(sorted(lam + mu, reverse=True))
+
+    def test_recurrences_agree_across_a_tier_boundary(self, monkeypatch):
+        # A first tier of 8 vertices takes degrees 6-8 and the next one
+        # 9-12.  The brooms of degree 10 and 12 build their sub-spiders
+        # (degrees 8-11) and every short path in the broom's own tier.
+        monkeypatch.setattr(csf_module, "_TIERS", (csf_module._Tier(8), csf_module._Tier(255)))
+        results = []
+        for n in range(6, 13):
+            path = csf_module._e_function(*csf_module._path_packed(n))
+            oracle = {Partition(lam): c for lam, c in path_e_terms(n).items()}
+            assert path == SymFunc("e", n, oracle) == _tree_e(build_family("path", n)), n
+            results.append((build_family("path", n), path))
+        for n in range(6, 13):
+            for a, b, c in (lam for lam in enumerate_partitions(n - 1) if lam.length == 3):
+                spider = spider_csf(a, b, c)
+                assert spider == _tree_e(build_family("spider", a, b, c)), (a, b, c)
+                if c == 1:
+                    assert spider == pendant_spider_e(a, b), (a, b, c)
+                if b == 1 and a % 2:
+                    assert spider == odd_broom_e(a), (a, b, c)
+                results.append((build_family("spider", a, b, c), spider))
+        for middle in (1, 3, 5, 7):
+            broom = broom_csf(middle)
+            G = build_family("dbroom", 2, middle, 2)
+            assert broom == _tree_e(G), middle
+            results.append((G, broom))
+        for G, value in results:
+            assert compute_csf(G).min_coefficient() == value.min_coefficient(), G.label
+        assert [len(tier.paths) for tier in csf_module._TIERS] == [9, 13]
 
 
 class TestTripleDeletion:
