@@ -205,7 +205,7 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
 # is the digit of radix N // k + 1 at place B[k] = prod_{j<k} (N // j + 1),
 # so no digit carries and the key of e_lam e_mu is key(lam) + key(mu).  The
 # outermost call picks N (64 or 255) from the result's degree for every term
-# it builds.  Keys are decoded through Partition, which validates them.
+# it builds.  A key decodes from its top digit down, already in Partition's order.
 
 
 class _Tier:
@@ -258,7 +258,7 @@ def _decode(key: int, n: int) -> Partition:
         part = bisect_right(places, key) - 1
         count, key = divmod(key, places[part])
         parts += [part] * count
-    return Partition(parts)
+    return Partition._unchecked(parts)
 
 
 def _e_function(n: int, terms: dict) -> SymFunc:

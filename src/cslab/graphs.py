@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import lru_cache
 from operator import add, itemgetter
-from typing import Iterator
 
 from .errors import (
     BadSpec,
@@ -40,11 +39,10 @@ from .errors import (
     TooLarge,
     TooManyBlocks,
 )
-from .partitions import Partition
+from .partitions import Partition, _Record
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """An undirected simple graph on vertices 0..n-1.
 
     Edges are stored as sorted pairs (u, v) with u < v; loops are rejected
@@ -54,7 +52,7 @@ class Graph:
 
     n: int
     edges: frozenset = frozenset()
-    label: str = field(default="", compare=False)
+    label: str = ""
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -75,6 +73,13 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return _adjacency_masks(self)[v].bit_count()
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return (self.n == other.n and self.edges == other.edges) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         tag = f", label={self.label!r}" if self.label else ""
@@ -377,8 +382,7 @@ def _double_broom_of(arms):
 # -- stable partitions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StablePartitionCount:
+class StablePartitionCount(_Record):
     """Stable-partition counts of one type.
 
     ``count`` is the number of unordered stable partitions with the given

@@ -8,15 +8,50 @@ partitions of n run from (n) down to (1,)*n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from math import factorial
-from typing import Iterable, Iterator
+
+
+class _Record:
+    """Immutable record: annotations name its fields in order, class attributes their defaults."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = type(self).__annotations__
+        if kwargs or len(args) != len(fields):
+            args += tuple(kwargs.pop(f) if f in kwargs else vars(type(self))[f]
+                          for f in list(fields)[len(args):] if f in kwargs or f in vars(type(self)))
+            if kwargs or len(args) != len(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or normalise the fields once they are set; a subclass may."""
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    # The instance dict holds exactly the fields, set in order, and pickles as the state.
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers."""
 
     __slots__ = ()
+
+    #: For decoders whose parts are positive and weakly decreasing by construction.
+    _unchecked = classmethod(tuple.__new__)
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         pts = tuple(map(int, parts))
@@ -72,8 +107,7 @@ class Partition(tuple):
         return f"Partition({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class MultiplicityForm:
+class MultiplicityForm(_Record):
     """A partition as (part, multiplicity) pairs with parts strictly decreasing."""
 
     pairs: tuple[tuple[int, int], ...]

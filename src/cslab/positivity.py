@@ -17,8 +17,6 @@ of reach instances are reported as skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .csf import compute_csf
 from .errors import (
     BadParity,
@@ -38,6 +36,7 @@ from .graphs import (
 )
 from .partitions import (
     Partition,
+    _Record,
     enumerate_partitions,
     numerical_semigroup_gap,
     sort_to_partition,
@@ -69,8 +68,7 @@ SCREENER_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A negative coefficient certifying a "no" verdict."""
 
     basis: str
@@ -78,8 +76,7 @@ class Witness:
     coefficient: int
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(_Record):
     """Outcome of one positivity question for one graph.
 
     Verdicts are "yes", "no", or "unknown-at-cap"; a verdict the operation
@@ -371,8 +368,7 @@ def schur_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityRepor
     return PositivityReport(G, schur_positive=verdict, witness=witness, screener_trace=trace)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """One sweep instance: the parameter value, both reports, and any
     error that kept the instance from completing."""
 
@@ -390,8 +386,7 @@ class SweepRow:
         return tuple(names)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """A family sweep: per-instance rows plus the sets of parameter values
     with proven-positive verdicts, derived from the rows."""
 
@@ -475,8 +470,7 @@ def run_sweep(
     return SweepResult(family=family, variable=variable, lower=lower, upper=upper, rows=rows)
 
 
-@dataclass(frozen=True)
-class ConjectureCheck:
+class ConjectureCheck(_Record):
     """Instance-level verification of a conjecture: never a proof, only
     consistency on the instances actually checked."""
 

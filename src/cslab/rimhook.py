@@ -16,18 +16,16 @@ change), which shares no code with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .csf import compute_csf
 from .errors import DegreeMismatch, TooLarge
 from .graphs import Graph, count_stable_partitions
-from .partitions import Partition, enumerate_partitions, sort_to_partition
+from .partitions import Partition, _Record, enumerate_partitions, sort_to_partition
 from .symfunc import SymFunc
 
 
-@dataclass(frozen=True)
-class SpecialRimHookTabloid:
+class SpecialRimHookTabloid(_Record):
     """One tiling of the diagram of ``shape`` by special rim hooks.
 
     ``hooks`` holds the cell sets ordered by each hook's topmost column-1
@@ -50,8 +48,7 @@ class SpecialRimHookTabloid:
         return sort_to_partition(self.content)
 
 
-@dataclass(frozen=True)
-class SchurCoefficientTrace:
+class SchurCoefficientTrace(_Record):
     """Audit record for one Schur coefficient: the shape, one row per
     tabloid (content composition, sign, semi-ordered count), and the
     signed total.  Unrealizable contents appear with count 0."""

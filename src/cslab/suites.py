@@ -8,7 +8,6 @@ command line so a user can re-run them at chosen seeds and scales.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .csf import (
     csf_via_edge_subsets,
@@ -25,7 +24,7 @@ from .graphs import (
     random_graph,
     random_tree,
 )
-from .partitions import enumerate_partitions
+from .partitions import _Record, enumerate_partitions
 from .positivity import NO, run_sweep
 from .rimhook import inverse_kostka_matrix
 from .symfunc import change_basis, kostka_number, specialize_ones
@@ -40,8 +39,7 @@ SUITES = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(_Record):
     """Outcome of one verification suite run."""
 
     suite: str

@@ -26,15 +26,14 @@ order and reverse-lexicographic order refines dominance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
 
 from .errors import BasisMismatch, DegreeMismatch, EmptyFunction, SingularSystem, TooLarge
-from .partitions import Partition, enumerate_partitions, sort_to_partition
+from .partitions import Partition, _Record, enumerate_partitions, sort_to_partition
 
 BASES = ("m", "e", "p", "s")
 
@@ -42,7 +41,7 @@ BASES = ("m", "e", "p", "s")
 #: this should go through targeted-coefficient routes instead.
 DEFAULT_DEGREE_CAP = 24
 
-Coeff = Union[int, Fraction]
+Coeff = int | Fraction
 
 
 def _normalize_coeff(c: Coeff) -> Coeff:
@@ -55,8 +54,7 @@ def _exact_div(c: Coeff, d: Coeff) -> Coeff:
     return _normalize_coeff(Fraction(c) / Fraction(d))
 
 
-@dataclass(frozen=True)
-class SymFunc:
+class SymFunc(_Record):
     """A homogeneous symmetric function in a single basis.
 
     ``terms`` maps partitions of ``degree`` to nonzero coefficients; zero
@@ -354,7 +352,7 @@ def _unpack(key: int, width: int) -> Partition:
         count = key >> part * width
         parts += [part] * count
         key -= count << part * width
-    return Partition(parts)
+    return Partition._unchecked(parts)
 
 
 @lru_cache(maxsize=None)
@@ -362,7 +360,7 @@ def _beads_shape(beads: int) -> Partition:
     """The Partition of a beta-set: the bead of row i of l sits at bit
     lam_i - i + l - 1, so the beads read from the top give the rows in order."""
     bits = [i for i in range(beads.bit_length()) if beads >> i & 1][::-1]
-    return Partition(bit + i + 1 - len(bits) for i, bit in enumerate(bits))
+    return Partition._unchecked(bit + i + 1 - len(bits) for i, bit in enumerate(bits))
 
 
 @lru_cache(maxsize=None)

@@ -92,6 +92,16 @@ class TestCsfVerb:
             assert code == 0
             assert json.loads(out)["route"] == "tree-p"
 
+    @pytest.mark.parametrize("spec, route, limit", [
+        ("cycle:25", "edge-p", "edge-subset route is capped at 24 edges, got 25"),
+        ("cycle:17", "stable-m", "stable-partition enumeration is capped at 16 vertices, got 17"),
+    ])
+    def test_forced_routes_keep_their_own_limits_past_the_cap(self, capsys, spec, route, limit):
+        argv = ["csf", "--graph", spec, "--route", route, "--cap", "30"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert f"capped: {limit}" in err
+
     def test_small_cap_refuses_the_tree_dp_in_its_own_basis(self, capsys):
         # p needs no conversion, but the cap still bounds the DP itself.
         argv = ["csf", "--graph", "claw", "--basis", "p", "--cap", "3"]
@@ -247,6 +257,23 @@ class TestPositivityVerb:
         code = (
             "import sys, cslab, cslab.cli; "
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # Every verb pays for the import, and these modules cost more than a
+        # small answer.  Only modules the import itself adds count, so
+        # whatever site preloads does not.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys; before = set(sys.modules); import cslab, cslab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+            " & (set(sys.modules) - before)))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,

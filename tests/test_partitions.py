@@ -16,6 +16,8 @@ from cslab import (
     parse_partition,
     sort_to_partition,
 )
+from cslab.csf import _decode, _tier
+from cslab.symfunc import _beads_shape, _unpack
 
 partition_lists = st.lists(st.integers(1, 9), max_size=7).map(
     lambda parts: sorted(parts, reverse=True)
@@ -71,6 +73,32 @@ class TestPartition:
         form = lam.multiplicities()
         assert isinstance(form, MultiplicityForm)
         assert form.pairs == ((4, 2), (2, 1), (1, 1))
+
+
+class TestUncheckedDecoders:
+    """The decoders build their Partitions without the check, so each must
+    emit what the checked constructor accepts unchanged, on any key."""
+
+    @staticmethod
+    def assert_checked_agrees(out):
+        assert type(out) is Partition
+        assert Partition(list(out)) == out
+
+    @given(st.data(), st.sampled_from([10, 64, 200]))
+    def test_family_recurrence_keys(self, data, n):
+        places = _tier(n).places
+        key = data.draw(st.integers(0, places[_tier(n).size + 1] - 1))
+        self.assert_checked_agrees(_decode(key, n))
+
+    @given(st.integers(0, 1 << 8 * 12), st.sampled_from([8, 9]))
+    def test_packed_e_keys(self, key, width):
+        # Field 0 would be a part 0, which no e key holds.
+        self.assert_checked_agrees(_unpack(key >> width << width, width))
+
+    @given(st.integers(0, 1 << 60))
+    def test_beta_set_keys(self, beads):
+        # Bit 0 would be a row of length 0, which the strip moves drop.
+        self.assert_checked_agrees(_beads_shape(beads & ~1))
 
 
 class TestEnumeration:
