@@ -188,7 +188,9 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
     top = width * (G.n + 1)
     total: dict = {0: 1}
     for component in components:
-        table = _rooted_table(component[0], masks, top, width)
+        # Rooted at a leg tip, the DP would copy the hub's table down the leg.
+        root = max(component, key=lambda v: masks[v].bit_count())
+        table = _rooted_table(root, masks, top, width)
         product: dict = {}
         for kx, x in total.items():
             for ky, y in table.items():

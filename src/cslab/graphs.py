@@ -676,8 +676,9 @@ def has_connected_partition(G: Graph, type_) -> bool:
     """True iff the vertices split into blocks of the given sizes, each
     inducing a connected subgraph.
 
-    A pruned backtracking search over connected vertex sets.  Forests are
-    searched up to 20 vertices, other graphs up to 16.
+    A pruned backtracking search over connected vertex sets, up to 20
+    vertices for forests and 16 for other graphs (the positivity cover
+    searches only the latter, and reads a tree's types from tree-p).
     """
     lam = Partition(type_)
     if lam.n != G.n:

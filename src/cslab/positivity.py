@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     _double_broom_shape,
     balanced_stable_bipartition,
+    connected_components,
     has_connected_partition,
     parse_graph_spec,
     spider_legs,
@@ -248,12 +249,18 @@ def screen_spider(legs) -> tuple:
 
 
 def _connected_cover_trace(G: Graph):
-    """An e-positive graph has a connected partition of every type; check
-    all types while that is cheap.  Returns None when out of reach."""
+    """An e-positive connected graph has a connected partition of every
+    type (Wolfgang); name the first type missing.  A tree reads its types
+    from its tree-p terms, where distinct edge subsets are distinct
+    connected partitions and none cancel; other graphs are searched.
+    Returns None when out of reach."""
     if G.n > DEFAULT_VERTEX_CAP:
         return None
+    if len(connected_components(G)) > 1:
+        return ("connected-partition-cover", True, "not applicable: the graph is disconnected")
+    terms = compute_csf(G, "tree-p").value.terms if G.edge_count == G.n - 1 else None
     for lam in enumerate_partitions(G.n):
-        if not has_connected_partition(G, lam):
+        if not (lam in terms if terms is not None else has_connected_partition(G, lam)):
             return (
                 "connected-partition-cover",
                 False,

@@ -226,6 +226,14 @@ class TestPositivityVerb:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("spec", ["edges:4:0-1,2-3", "edges:2:", "edges:3:0-1"])
+    def test_disconnected_e_positive_graph_exits_zero(self, capsys, spec):
+        code, out, err = run_cli(
+            ["positivity", "--graph", spec, "--basis", "e", "--expect", "positive"], capsys
+        )
+        assert code == 0, err
+        assert json.loads(out)["e"]["verdict"] == "yes"
+
     def test_internal_contradiction_exits_four(self, capsys, lying_screener):
         code, out, err = run_cli(["positivity", "--graph", "spider:3,2,1"], capsys)
         assert code == 4

@@ -1,14 +1,21 @@
 """Positivity verdicts, screeners, sweeps, and conjecture checks."""
 
 import concurrent.futures
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_connected_partition
 
 import cslab.csf
+import cslab.graphs
 import cslab.positivity
 from cslab import (
     BadParity,
     BadSpec,
+    Graph,
     InternalContradiction,
     Partition,
     SCREENER_NAMES,
@@ -18,9 +25,11 @@ from cslab import (
     check_conjecture,
     compute_csf,
     e_positivity,
+    enumerate_partitions,
     extract_coefficient,
     lemma_2odds_coefficient,
     parse_graph_spec,
+    random_tree,
     run_sweep,
     schur_positivity,
     screen_spider,
@@ -147,6 +156,61 @@ class TestEPositivity:
         report = e_positivity(build_family("spider", 4, 4, 2))
         assert report.e_positive == NO
         assert report.witness.partition.n == 11
+
+
+def search_lookups():
+    info = cslab.graphs._has_connected_partition.cache_info()
+    return info.hits + info.misses
+
+
+class TestConnectedPartitionCover:
+    """Forests read the cover from their tree-p terms; graphs with a cycle
+    search for it; disconnected graphs are outside its theorem."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 10**6))
+    def test_tree_cover_names_the_first_type_the_brute_force_misses(self, n, seed):
+        G = random_tree(n, random.Random(seed))
+        realized = brute_connected_partition(G)
+        missing = [lam for lam in enumerate_partitions(n) if lam not in realized]
+        expected = (
+            ("connected-partition-cover", False, f"no connected partition of type {tuple(missing[0])}")
+            if missing
+            else ("connected-partition-cover", True, "every partition type is realized connectedly")
+        )
+        assert e_positivity(G).screener_trace[-1] == expected
+
+    def test_tree_makes_no_search(self):
+        before = search_lookups()
+        report = e_positivity(parse_graph_spec("dbroom:3,2,4"))
+        assert report.failed_screeners == ("connected-partition-cover",)
+        assert search_lookups() == before
+
+    def test_graph_with_a_cycle_is_searched(self):
+        cycle = build_family("cycle", 6)
+        G = Graph(6, cycle.edges | {(0, 3)})
+        before = search_lookups()
+        report = e_positivity(G)
+        assert search_lookups() > before
+        assert report.screener_trace == (
+            ("connected-partition-cover", True, "every partition type is realized connectedly"),
+        )
+
+    @pytest.mark.parametrize("spec", ["edges:4:0-1,2-3", "edges:2:", "edges:3:0-1"])
+    def test_disconnected_e_positive_graph_passes(self, spec):
+        report = e_positivity(parse_graph_spec(spec))
+        assert report.e_positive == YES
+        assert report.screener_trace == (
+            ("connected-partition-cover", True, "not applicable: the graph is disconnected"),
+        )
+
+    def test_disconnected_graph_is_still_decided_by_its_expansion(self):
+        # The claw plus an isolated vertex: X = X(claw) e_1 keeps the
+        # claw's negative e-coefficient.
+        report = e_positivity(parse_graph_spec("edges:5:0-1,0-2,0-3"))
+        assert report.e_positive == NO
+        assert report.witness.coefficient < 0
+        assert not report.failed_screeners
 
 
 class TestSchurPositivity:
