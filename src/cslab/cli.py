@@ -369,6 +369,11 @@ def _cmd_sweep(args) -> int:
             "schur_positive": list(result.schur_positives),
             "summary": summary,
         })
+    contradictions = [row.error for row in result.rows if row.contradiction]
+    for error in contradictions:
+        print(f"cslab: internal contradiction: {error}", file=sys.stderr)
+    if contradictions:
+        return EXIT_INTERNAL
     if args.expect:
         verdicts = []
         for row in result.rows:

@@ -86,7 +86,13 @@ class Graph(_Record):
         return f"Graph(n={self.n}, edges={sorted(self.edges)}{tag})"
 
 
-@lru_cache(maxsize=None)
+#: Graphs kept by each per-graph memo, here and in ``csf._generic_csf``: a
+#: question asks all it needs of one graph in a row, and a sweep or a census
+#: meets new graphs without end.
+_GRAPHS_KEPT = 128
+
+
+@lru_cache(maxsize=_GRAPHS_KEPT)
 def _adjacency_masks(G: Graph) -> tuple:
     """Neighbor bitmasks, one per vertex."""
     masks = [0] * G.n
@@ -96,12 +102,28 @@ def _adjacency_masks(G: Graph) -> tuple:
     return tuple(masks)
 
 
-def connected_components(G: Graph) -> list:
-    """Vertex sets of the components, each sorted, ordered by least vertex."""
+def connected_components(G: Graph) -> tuple:
+    """Vertex sets of the components as a tuple of sorted tuples, ordered by
+    least vertex."""
+    return _shape(G)[0]
+
+
+@lru_cache(maxsize=_GRAPHS_KEPT)
+def _shape(G: Graph) -> tuple:
+    """(``connected_components(G)``, ``_hub_arms(G)``), found in one pass
+    per graph and kept for the questions that follow."""
     masks = _adjacency_masks(G)
+    components = _components(masks)
+    tree = len(components) == 1 and len(G.edges) == G.n - 1
+    return components, (_walk_arms(masks) if tree else None)
+
+
+def _components(masks: tuple) -> tuple:
+    """Components of the graph with neighbour bitmasks ``masks``, as
+    ``connected_components`` lays them out."""
     seen = 0
     components = []
-    for start in range(G.n):
+    for start in range(len(masks)):
         if seen >> start & 1:
             continue
         seen |= 1 << start
@@ -118,19 +140,11 @@ def connected_components(G: Graph) -> list:
                 stack.append(w)
                 members.append(w)
         components.append(tuple(sorted(members)))
-    return components
-
-
-def is_connected(G: Graph) -> bool:
-    return G.n <= 1 or len(connected_components(G)) == 1
+    return tuple(components)
 
 
 def is_forest(G: Graph) -> bool:
     return len(G.edges) == G.n - len(connected_components(G))
-
-
-def is_tree(G: Graph) -> bool:
-    return G.n >= 1 and is_connected(G) and len(G.edges) == G.n - 1
 
 
 # -- family builders ----------------------------------------------------------
@@ -318,15 +332,17 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def _hub_arms(G: Graph):
-    """Each vertex of degree >= 3 of a tree (a hub), mapped to its arms as
-    (length, end) pairs: the walk from the hub through vertices of degree
-    2, stopped at the first vertex of another degree.  None unless G is a
-    tree."""
-    if not is_tree(G):
-        return None
-    masks = _adjacency_masks(G)
-    arms = {}
-    for hub in range(G.n):
+    """Each vertex of degree >= 3 of a tree (a hub), paired with its arms
+    as (length, end) pairs: the walk from the hub through vertices of
+    degree 2, stopped at the first vertex of another degree.  A tuple of
+    (hub, arms) in increasing hub order; None unless G is a tree."""
+    return _shape(G)[1]
+
+
+def _walk_arms(masks: tuple) -> tuple:
+    """``_hub_arms`` of the tree with neighbour bitmasks ``masks``."""
+    arms = []
+    for hub in range(len(masks)):
         mask = masks[hub]
         if mask.bit_count() < 3:
             continue
@@ -340,8 +356,8 @@ def _hub_arms(G: Graph):
                 prev, cur = cur, (masks[cur] & ~(1 << prev)).bit_length() - 1
                 length += 1
             walks.append((length, cur))
-        arms[hub] = walks
-    return arms
+        arms.append((hub, tuple(walks)))
+    return tuple(arms)
 
 
 def spider_legs(G: Graph):
@@ -357,7 +373,7 @@ def _spider_of(arms):
     """``spider_legs`` of the tree whose ``_hub_arms`` are ``arms``."""
     if arms is None or len(arms) != 1:
         return None
-    (walks,) = arms.values()
+    ((_, walks),) = arms
     return Partition(sorted((length for length, _ in walks), reverse=True))
 
 
@@ -372,9 +388,9 @@ def _double_broom_of(arms):
     """``_double_broom_shape`` of the tree whose ``_hub_arms`` are ``arms``."""
     if arms is None or len(arms) != 2:
         return None
-    (_, left), (hub, right) = arms.items()
+    (first, left), (hub, right) = arms
     (middle,) = [length for length, end in left if end == hub]
-    if any(length > 1 for length, end in left + right if end not in arms):
+    if any(length > 1 for length, end in left + right if end not in (first, hub)):
         return None
     return len(left) - 1, middle, len(right) - 1
 
@@ -750,7 +766,9 @@ def _relabel(vertices, edges) -> tuple:
 def _chromatic_value(n: int, edges: tuple, k: int) -> int:
     if not edges:
         return k**n
-    components = connected_components(Graph(n, frozenset(edges)))
+    # Uncached: the graphs of deletion-contraction would crowd the questions'
+    # graphs out of the per-graph memos.
+    components = _components(_adjacency_masks.__wrapped__(Graph(n, frozenset(edges))))
     if len(components) > 1:
         value = 1
         for comp in components:

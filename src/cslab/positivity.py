@@ -376,13 +376,15 @@ def schur_positivity(G: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PositivityRepor
 
 
 class SweepRow(_Record):
-    """One sweep instance: the parameter value, both reports, and any
-    error that kept the instance from completing."""
+    """One sweep instance: the parameter value, both reports, any error
+    that kept the instance from completing, and whether that error is an
+    internal contradiction (a bug, not a limit)."""
 
     param: int
     e_report: PositivityReport | None
     schur_report: PositivityReport | None
     error: str | None = None
+    contradiction: bool = False
 
     @property
     def failed_screeners(self) -> tuple:
@@ -441,6 +443,8 @@ def _sweep_instance(task) -> SweepRow:
         e_report = e_positivity(G, cap=cap)
         s_report = schur_positivity(G, cap=cap)
         return SweepRow(value, e_report, s_report)
+    except InternalContradiction as exc:
+        return SweepRow(value, None, None, error=str(exc), contradiction=True)
     except ValueError as exc:
         return SweepRow(value, None, None, error=str(exc))
 

@@ -361,6 +361,40 @@ class TestSweepVerb:
         _, parallel, _ = run_cli(argv + ["--jobs", "2"], capsys)
         assert serial == parallel
 
+    @pytest.mark.parametrize("out, jobs", [("json", "1"), ("csv", "1"), ("json", "2")])
+    def test_contradiction_row_exits_four_after_the_whole_sweep(
+        self, capsys, out, jobs, lying_screener
+    ):
+        argv = ["sweep", "--family", "spider:a,2,1", "--range", "a=2..4", "--out", out,
+                "--jobs", jobs]
+        code, printed, err = run_cli(argv, capsys)
+        assert code == 4
+        assert err.count("cslab: internal contradiction: screener contradicts") == 1
+        if out == "csv":
+            assert printed.splitlines()[1:] == [
+                '2,no,"3,3",-3,yes,,,longest-leg-floor;modular-residue-budget;'
+                "pendant-mod3-bounds;even-pair-quadratic;connected-partition-cover",
+                "3,error,,,error,,,",
+                '4,no,"3,3,2",-1,yes,,,pendant-mod3-bounds;even-pair-quadratic',
+                "positive: ",
+            ]
+        else:
+            rows = json.loads(printed)["rows"]
+            assert [row["e_verdict"] for row in rows] == ["no", "error", "no"]
+            assert "screener contradicts" in rows[1]["error"]
+        # The same sweep with the expect flag still reports the contradiction.
+        code, again, _ = run_cli(argv + ["--expect", "positive"], capsys)
+        assert (code, again) == (4, printed)
+
+    def test_an_error_row_that_is_no_contradiction_exits_zero(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--family", "spider:a,2,1", "--range", "a=0..1"], capsys
+        )
+        assert code == 0 and err == ""
+        rows = json.loads(out)["rows"]
+        assert [row["e_verdict"] for row in rows] == ["error", "yes"]
+        assert "legs must be positive" in rows[0]["error"]
+
     def test_jobs_below_one_exits_one(self, capsys):
         code, out, err = run_cli(
             ["sweep", "--family", "spider:a,2,1", "--range", "a=2..3", "--jobs", "0"],

@@ -26,6 +26,7 @@ from oracles import (
 from cslab import (
     BadSpec,
     DegreeMismatch,
+    EmptyFunction,
     Graph,
     NotStableTriple,
     Partition,
@@ -546,6 +547,41 @@ class TestPackedRecurrences:
             packed = result.min_coefficient()
             assert type(packed[0]) is Partition, G.label
             assert packed == compute_csf(G).value.min_coefficient(), G.label
+
+    def test_packed_minimum_reads_the_raw_terms_as_decoded(self):
+        # The raw spider and broom dicts keep the keys whose terms cancelled
+        # to zero; on e-positive spiders such as S(6, 2, 1) the minimum is
+        # then the smallest nonzero coefficient, not 0.
+        zero_below_positive = []
+        for template, values in _SWEEP_FAMILIES[1:]:
+            for value in values:
+                spec = template.format(value)
+                n, terms = csf_module._family_recurrence(parse_graph_spec(spec))()
+                if min(terms.values()) == 0:
+                    zero_below_positive.append(spec)
+                expected = csf_module._e_function(n, terms).min_coefficient()
+                assert csf_module._packed_min(n, terms) == expected, spec
+        assert "spider:6,2,1" in zero_below_positive
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_packed_minimum_of_random_terms(self, data):
+        # Few distinct coefficients, zero among them, so that minima repeat
+        # and zeros sit below a positive minimum.
+        n = data.draw(st.integers(0, 12))
+        tier = csf_module._tier(n)
+        lams = data.draw(st.lists(st.sampled_from(list(enumerate_partitions(n))), unique=True))
+        coeffs = st.sampled_from([0, 0, 1, 2, -1, -3, 5])
+        terms = {
+            sum(tier.places[k] for k in lam): data.draw(coeffs, label=str(tuple(lam)))
+            for lam in lams
+        }
+        if any(terms.values()):
+            expected = csf_module._e_function(n, terms).min_coefficient()
+            assert csf_module._packed_min(n, terms) == expected
+        else:
+            with pytest.raises(EmptyFunction):
+                csf_module._packed_min(n, terms)
 
     @settings(max_examples=25, deadline=None)
     @given(_spider_legs(39))

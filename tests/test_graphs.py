@@ -18,6 +18,7 @@ from oracles import (
     tree_chromatic,
 )
 
+import cslab.csf
 import cslab.graphs
 from cslab import (
     BadSpec,
@@ -38,10 +39,11 @@ from cslab import (
     parse_graph_spec,
     random_graph,
     random_tree,
+    run_sweep,
     specialize_ones,
     spider_legs,
 )
-from cslab.graphs import _double_broom_shape
+from cslab.graphs import _double_broom_shape, connected_components
 
 
 def _relabelled(G: Graph, rng: random.Random) -> Graph:
@@ -166,6 +168,60 @@ class TestFamilies:
         for spec in ("path:6", "cycle:6", "star:5", "complete:4", "claw",
                      "spider:3,2,2", "broom:4,2", "dbroom:3,2,3"):
             assert is_connected(parse_graph_spec(spec)), spec
+
+
+class TestShapeMemo:
+    """Components and hub arms are found once per graph, kept for at most
+    128 graphs, and handed out as tuples that no caller can change."""
+
+    def test_one_sweep_instance_walks_its_graph_once(self):
+        cslab.graphs._shape.cache_clear()
+        run_sweep("spider:a,2,1", "a", 8, 8)
+        assert cslab.graphs._shape.cache_info().misses == 1
+        cslab.graphs._shape.cache_clear()
+        run_sweep("dbroom:2,p,3", "p", 5, 5)
+        assert cslab.graphs._shape.cache_info().misses == 1
+
+    def test_labels_share_an_entry(self):
+        G = build_family("spider", 4, 2, 1)
+        twin = Graph(G.n, G.edges, label="another name")
+        cslab.graphs._shape.cache_clear()
+        assert spider_legs(G) == spider_legs(twin) == Partition((4, 2, 1))
+        assert connected_components(twin) == (tuple(range(G.n)),)
+        info = cslab.graphs._shape.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_results_are_tuples_no_caller_can_change(self):
+        components = connected_components(Graph(5, frozenset({(0, 3), (1, 2)})))
+        assert components == ((0, 3), (1, 2), (4,))
+        assert type(components) is tuple and all(type(c) is tuple for c in components)
+        with pytest.raises(TypeError):
+            components[0] = (4,)
+        arms = cslab.graphs._hub_arms(build_family("dbroom", 2, 3, 3))
+        assert arms == ((2, ((1, 0), (1, 1), (3, 5))), (5, ((3, 2), (1, 6), (1, 7), (1, 8))))
+        with pytest.raises(AttributeError):
+            arms[0][1].append((1, 9))
+        assert connected_components(Graph(5, frozenset({(0, 3), (1, 2)}))) is components
+
+    def test_deletion_contraction_keeps_out_of_the_memos(self):
+        G = random_tree(16, random.Random(5))
+        memos = (cslab.graphs._adjacency_masks, cslab.graphs._shape)
+        for memo in memos + (cslab.graphs._chromatic_value,):
+            memo.cache_clear()
+        assert chromatic_polynomial(G, 3) == 3 * 2**15
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+
+    def test_two_hundred_graphs_leave_at_most_128_in_each_memo(self):
+        rng = random.Random(3)
+        graphs = {random_tree(12, rng) for _ in range(400)}
+        graphs = sorted(graphs, key=lambda G: sorted(G.edges))[:200]
+        assert len(graphs) == 200
+        memos = (cslab.graphs._adjacency_masks, cslab.graphs._shape, cslab.csf._generic_csf)
+        for G in graphs:
+            compute_csf(G, "tree-p")
+        for memo in memos:
+            assert memo.cache_info().maxsize == 128
+            assert memo.cache_info().currsize == 128, memo
 
 
 class TestParsing:

@@ -339,6 +339,7 @@ class TestInternalContradictions:
         errors = {row.param: row.error for row in result.rows}
         assert errors[2] is None and errors[4] is None
         assert "screener contradicts" in errors[3]
+        assert [row.contradiction for row in result.rows] == [False, True, False]
         assert result.e_positives == ()
         assert result.schur_positives == (2, 4)
 

@@ -48,8 +48,10 @@ RECORDS = [
       "screener_trace": (("screener", False, "detail"),)},
      {"e_positive": None, "schur_positive": None, "witness": None, "screener_trace": ()},
      ("e_positive", "yes")),
-    (SweepRow, {"param": 4, "e_report": REPORT, "schur_report": None, "error": None},
-     {"error": None}, ("param", 5)),
+    (SweepRow,
+     {"param": 4, "e_report": REPORT, "schur_report": None, "error": None,
+      "contradiction": False},
+     {"error": None, "contradiction": False}, ("param", 5)),
     (SweepResult,
      {"family": "spider:a,2,1", "variable": "a", "lower": 4, "upper": 4,
       "rows": (SweepRow(4, None, None, "bad"),)},
@@ -69,7 +71,8 @@ RECORDS = [
      {}, ("seed", 1)),
 ]
 
-# Recorded from the frozen dataclasses, built from RECORDS' fields.
+# Recorded from the frozen dataclasses, built from RECORDS' fields; SweepRow's
+# contradiction field was added to the record later.
 REPRS = {
     Graph: "Graph(n=3, edges=[(0, 1), (1, 2)], label='path:3')",
     StablePartitionCount:
@@ -86,10 +89,12 @@ REPRS = {
         "SweepRow(param=4, e_report=PositivityReport(graph=Graph(n=3, edges=[(0, 1), (1, 2)], "
         "label='path:3'), e_positive='no', schur_positive=None, "
         "witness=Witness(basis='e', partition=Partition((2, 1)), coefficient=-1), "
-        "screener_trace=(('screener', False, 'detail'),)), schur_report=None, error=None)",
+        "screener_trace=(('screener', False, 'detail'),)), schur_report=None, error=None, "
+        "contradiction=False)",
     SweepResult:
         "SweepResult(family='spider:a,2,1', variable='a', lower=4, upper=4, "
-        "rows=(SweepRow(param=4, e_report=None, schur_report=None, error='bad'),))",
+        "rows=(SweepRow(param=4, e_report=None, schur_report=None, error='bad', "
+        "contradiction=False),))",
     ConjectureCheck:
         "ConjectureCheck(conjecture='sporadic-head', instances=('spider:3,2,1',), "
         "counterexamples=(), notes=('note',))",
