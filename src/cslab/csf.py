@@ -20,9 +20,11 @@ ways, which deliberately share no code path:
   mixed-radix integers, one digit per part multiplicity with radixes
   sized to the degree (tiers of 64 and 255 vertices), so a product of two
   terms is one integer addition, over one bottom-up memo of the path
-  series per tier.  A key is decoded into its Partition from its own
-  digits: every key when a SymFunc is wanted, only the keys holding the
-  minimum when an e-positivity verdict is.  They stop at 255 vertices.
+  series per tier, in layers by the number of parts 1, so that e_1 times
+  a layer is the next layer.  A key is decoded into its Partition from
+  its own digits: every key when a SymFunc is wanted, only the keys
+  holding the minimum when an e-positivity verdict is.  They stop at 255
+  vertices.
 
 ``compute_csf`` is the one place that chooses and runs a route, from the
 graph and the target basis, and converts the result to that basis; the
@@ -40,7 +42,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache, partial
+from itertools import chain
 from math import factorial
+from operator import add
 
 from .errors import BadSpec, DegreeMismatch, NotStableTriple, TooLarge
 from .graphs import (
@@ -65,7 +69,7 @@ class CsfResult:
     """A computed CSF together with the route that produced it.
 
     A family recurrence may hand over ``packed``, its (degree, packed
-    e-terms), instead of a SymFunc: ``value`` then decodes every key on
+    e-layers), instead of a SymFunc: ``value`` then decodes every key on
     first read, while ``min_coefficient`` decodes only the keys that hold
     the minimum.
     """
@@ -209,16 +213,22 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
 # so no digit carries and the key of e_lam e_mu is key(lam) + key(mu).  The
 # outermost call picks N (64 or 255) from the result's degree for every term
 # it builds.  A key decodes from its top digit down, already in Partition's order.
+# Layer j of a result maps the key of each partition with no part 1 to the
+# coefficient of that partition plus j ones, whose key is j more (B[1] = 1).
+# A path term has at most one part 1, a spider term two, a broom term three.
 
 
 class _Tier:
     """Place values ``places[k]`` = B[k] of the keys of degree at most
     ``size`` (``places[0]`` = 0, ``places[size + 1]`` exceeds every key),
-    and the e-terms of X(P_m) in those keys, filled bottom-up and never
-    handed out: callers copy them."""
+    and the two layers of X(P_m): ``cores[m]`` maps every partition of m
+    with no part 1 (all are terms, by Wolfe's formula) to its coefficient,
+    ``ones[m]`` lists layer 1's coefficients in ``cores[m - 1]``'s key
+    order.  Filled bottom-up and never handed out: callers copy them."""
 
     def __init__(self, size: int):
-        self.size, self.places, self.paths = size, [0, 1], {0: {0: 1}}
+        self.size, self.places = size, [0, 1]
+        self.cores, self.ones = {0: {0: 1}}, {0: []}
         for k in range(1, size + 1):
             self.places.append(self.places[-1] * (size // k + 1))
 
@@ -234,22 +244,27 @@ def _tier(n: int) -> _Tier:
     return _TIERS[0] if n <= _TIERS[0].size else _TIERS[1]
 
 
-def _path_terms(n: int, tier: _Tier) -> dict:
-    """e-terms of the n-vertex path in ``tier``'s keys, filling its memo up
-    to n in a loop so that no call recurses.  Every key m is stored only
-    after all smaller ones, so concurrent fillers compute the same tables."""
-    memo, places = tier.paths, tier.places
-    for m in range(len(memo), n + 1):
-        out: dict = {places[m]: 1}
-        get = out.get
+def _path_terms(n: int, tier: _Tier) -> tuple[dict, dict]:
+    """``tier.cores`` and ``tier.ones``, filled up to n in a loop so that no
+    call recurses.  Every degree m is stored only after all smaller ones,
+    so concurrent fillers compute the same tables."""
+    cores, ones, places = tier.cores, tier.ones, tier.places
+    for m in range(len(cores), n + 1):
+        # Every one-part key is already a key of cores[m - 1].
+        core, one = ({}, {0: 1}) if m == 1 else ({places[m]: 1}, dict.fromkeys(cores[m - 1], 0))
+        get = core.get
         for k in range(2, m + 1):
             weight = k - 1
             part = places[k]
-            for lam, c in memo[m - k].items():
+            for lam, c in cores[m - k].items():
                 key = lam + part
-                out[key] = get(key, 0) + weight * c
-        memo.setdefault(m, out)
-    return memo[n]
+                core[key] = get(key, 0) + weight * c
+            if k < m:
+                for lam, c in zip(cores[m - k - 1], ones[m - k]):
+                    one[lam + part] += weight * c
+        ones.setdefault(m, list(one.values()))
+        cores.setdefault(m, core)
+    return cores, ones
 
 
 def _decode(key: int, n: int) -> Partition:
@@ -264,24 +279,28 @@ def _decode(key: int, n: int) -> Partition:
     return Partition._unchecked(parts)
 
 
-def _e_function(n: int, terms: dict) -> SymFunc:
-    """The degree-n e-basis SymFunc of packed terms, every nonzero key
+def _e_function(n: int, layers) -> SymFunc:
+    """The degree-n e-basis SymFunc of packed layers, every nonzero key
     decoded."""
-    return SymFunc("e", n, {_decode(key, n): c for key, c in terms.items() if c})
+    return SymFunc("e", n, {_decode(key + j, n): c for j, layer in enumerate(layers)
+                            for key, c in layer.items() if c})
 
 
-def _packed_min(n: int, terms: dict) -> tuple[Partition, int]:
-    """``_e_function(n, terms).min_coefficient()``, decoding only the keys
+def _packed_min(n: int, layers) -> tuple[Partition, int]:
+    """``_e_function(n, layers).min_coefficient()``, decoding only the keys
     that hold the smallest nonzero coefficient."""
-    low = min(filter(None, terms.values()), default=0)
-    return SymFunc("e", n, {_decode(k, n): c for k, c in terms.items() if c == low}).min_coefficient()
+    values = [layer.values() for layer in layers]
+    low = min(map(min, filter(None, values)), default=0) or min(filter(None, chain(*values)), default=0)
+    return SymFunc("e", n, {_decode(key + j, n): c for j, layer in enumerate(layers)
+                            for key, c in layer.items() if c == low}).min_coefficient()
 
 
-def _path_packed(n: int) -> tuple[int, dict]:
-    """Degree and packed e-terms of the n-vertex path: the memo's own dict."""
+def _path_packed(n: int) -> tuple[int, tuple]:
+    """Degree and packed e-layers of the n-vertex path: the memo's own cores."""
     if n < 0:
         raise BadSpec(f"path length must be nonnegative, got {n}")
-    return n, _path_terms(n, _tier(n))
+    cores, ones = _path_terms(n, _tier(n))
+    return n, (cores[n], dict(zip(cores.get(n - 1, ()), ones[n])))
 
 
 @lru_cache(maxsize=None)
@@ -291,10 +310,10 @@ def path_csf_e(n: int) -> SymFunc:
     X(P_0) = 1 (the empty graph's CSF is the empty product), and
     X(P_n) = e_n + sum over k in 2..n of (k-1) e_k X(P_{n-k}); the series
     starts 1, e_1, 2 e_2, 3 e_3 + e_{2,1}, ...  The series is computed on
-    packed multiplicity keys into one memo per key tier, filled bottom-up
-    in a loop so that no call recurses; this call decodes the keys of
-    degree n.  The spider and broom recurrences read those memos, never
-    the SymFunc returned here, whose terms are read-only.  Raises TooLarge
+    packed multiplicity keys into one memo per key tier, in layers by the
+    number of parts 1, filled bottom-up in a loop so that no call recurses;
+    this call decodes the keys of degree n.  The spider and broom
+    recurrences read those memos, never the SymFunc returned here, whose terms are read-only.  Raises TooLarge
     past 255 vertices, the largest tier.
     """
     return _e_function(*_path_packed(n))
@@ -340,35 +359,42 @@ def wolfe_path_coefficient(lam, d: int) -> int:
 # -- spider and broom recurrences ---------------------------------------------
 
 
-def _spider_packed(a: int, b: int, c: int, tier: _Tier | None = None) -> tuple[int, dict]:
-    """Degree and packed e-terms of the spider S(a, b, c), as a fresh dict:
-    the path terms plus the signed pairwise products, in ``tier``'s keys
-    (by default, those of its own degree)."""
+def _add_product(out: dict, left, right, sign: int) -> None:
+    """``out[lam + mu] += sign * x * y`` over the (key, coefficient) pairs of
+    two layers, ``right`` once per pair of ``left``; every key is in ``out``."""
+    for lam, x in left:
+        x *= sign
+        # About 43% of the products have x = 1 or -1: no multiply.
+        if x == 1:
+            for mu, y in right:
+                out[lam + mu] += y
+        elif x == -1:
+            for mu, y in right:
+                out[lam + mu] -= y
+        else:
+            for mu, y in right:
+                out[lam + mu] += x * y
+
+
+def _spider_packed(a: int, b: int, c: int, tier: _Tier | None = None) -> tuple[int, tuple]:
+    """Degree and packed e-layers (up to two parts 1) of the spider
+    S(a, b, c), as fresh dicts: the path terms plus the signed pairwise
+    products, in ``tier``'s keys (by default, those of its own degree)."""
     if not (a >= b >= c >= 1):
         raise BadSpec(f"spider legs must satisfy a >= b >= c >= 1, got ({a}, {b}, {c})")
     n = a + b + c + 1
     tier = tier or _tier(n)
-    total = _path_terms(n, tier).copy()
-    get = total.get
-    for i in range(1, c + 1):
-        for left, right, sign in ((i, n - i, 1), (b + i, n - b - i, -1)):
-            right_terms = _path_terms(right, tier).items()
-            for lam, x in _path_terms(left, tier).items():
-                x *= sign
-                # About 43% of the products have x = 1 or -1: no multiply.
-                if x == 1:
-                    for mu, y in right_terms:
-                        key = lam + mu
-                        total[key] = get(key, 0) + y
-                elif x == -1:
-                    for mu, y in right_terms:
-                        key = lam + mu
-                        total[key] = get(key, 0) - y
-                else:
-                    for mu, y in right_terms:
-                        key = lam + mu
-                        total[key] = get(key, 0) + x * y
-    return n, total
+    cores, ones = _path_terms(n, tier)
+    # X(P_n) + e_1 X(P_{n-1}), the sum's first product, holds every key
+    # that the other products reach.
+    layers = (cores[n].copy(), dict(zip(cores[n - 1], map(add, ones[n], cores[n - 1].values()))),
+              dict(zip(cores[n - 2], ones[n - 1])))
+    pairs = [(i, n - i, 1) for i in range(2, c + 1)] + [(b + i, n - b - i, -1) for i in range(1, c + 1)]
+    for left, right, sign in pairs:
+        (x0, x1), (y0, y1) = ((cores[m].items(), list(zip(cores[m - 1], ones[m]))) for m in (left, right))
+        for out, xs, ys in ((0, x0, y0), (1, x0, y1), (1, x1, y0), (2, x1, y1)):
+            _add_product(layers[out], xs, ys, sign)
+    return n, layers
 
 
 def spider_csf(a: int, b: int, c: int) -> SymFunc:
@@ -376,28 +402,31 @@ def spider_csf(a: int, b: int, c: int) -> SymFunc:
 
     X(S(a,b,c)) = X(P_n) + sum over i in 1..c of
     (X(P_i) X(P_{n-i}) - X(P_{b+i}) X(P_{n-b-i})) with n = a+b+c+1,
-    summed on packed keys straight into one dict, whose keys are decoded
-    once at the end.  The result stays sparse (every term has at most two
-    parts equal to 1), so this route reaches degrees far beyond the
-    full-expansion cap.  Raises TooLarge past 255 vertices.
+    summed on packed keys, in layers by the number of parts 1, whose keys
+    are decoded once at the end.  The result stays sparse (every term has
+    at most two parts equal to 1), so this route reaches degrees far
+    beyond the full-expansion cap.  Raises TooLarge past 255 vertices.
     """
     return _e_function(*_spider_packed(a, b, c))
 
 
-def _broom_packed(middle: int) -> tuple[int, dict]:
-    """Degree and packed e-terms of the double broom br'(2, middle, 2)."""
+def _broom_packed(middle: int) -> tuple[int, tuple]:
+    """Degree and packed e-layers (three) of the double broom br'(2, middle, 2)."""
     if middle < 1 or middle % 2 == 0:
         raise BadSpec(f"broom_csf needs an odd positive middle, got {middle}")
     p = (middle + 1) // 2
     tier = _tier(2 * p + 4)
-    n, total = _spider_packed(2 * p + 1, 1, 1, tier)
-    get = total.get
-    # The packed keys of e_1 and e_2.
-    for legs, part, scale in ((2 * p, tier.places[1], 1), (2 * p - 1, tier.places[2], -2)):
-        for lam, x in _spider_packed(legs, 1, 1, tier)[1].items():
-            key = lam + part
-            total[key] = get(key, 0) + scale * x
-    return n, total
+    n, (core, one, two) = _spider_packed(2 * p + 1, 1, 1, tier)
+    # e_1 moves each layer of X(br(2p, 2)) up one, onto layers whose keys
+    # come in the same order (those of cores[n - 1], cores[n - 2]).
+    lower = _spider_packed(2 * p, 1, 1, tier)[1]
+    layers = (core, dict(zip(one, map(add, one.values(), lower[0].values()))),
+              dict(zip(two, map(add, two.values(), lower[1].values()))), lower[2])
+    part = tier.places[2]
+    for layer, terms in zip(layers, _spider_packed(2 * p - 1, 1, 1, tier)[1]):
+        for lam, x in terms.items():
+            layer[lam + part] -= 2 * x
+    return n, layers
 
 
 def broom_csf(middle: int) -> SymFunc:
@@ -494,7 +523,7 @@ def extract_coefficient(f: SymFunc, basis: str, lam) -> Coeff:
 
 def _family_recurrence(G: Graph):
     """The closed family recurrence for G as a call with no arguments that
-    returns (degree, packed e-terms), or None when none applies; one
+    returns (degree, packed e-layers), or None when none applies; one
     ``_hub_arms`` walk answers all three tests."""
     arms = _hub_arms(G)
     if arms == ():

@@ -91,6 +91,10 @@ class Graph(_Record):
 #: meets new graphs without end.
 _GRAPHS_KEPT = 128
 
+#: Entries kept by each memo keyed by a graph and a partition type: 64 types
+#: for each of ``_GRAPHS_KEPT`` graphs (a 12-vertex graph has 77 types).
+_TYPES_KEPT = 64 * _GRAPHS_KEPT
+
 
 @lru_cache(maxsize=_GRAPHS_KEPT)
 def _adjacency_masks(G: Graph) -> tuple:
@@ -674,7 +678,8 @@ def _connected_split(masks, unused: int, sizes: tuple) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+# Bounded like the per-graph memos: a sweep or a census meets new graphs without end.
+@lru_cache(maxsize=_TYPES_KEPT)
 def _has_connected_partition(G: Graph, lam: Partition) -> bool:
     if is_forest(G):
         if G.n > 20:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .csf import compute_csf
 from .errors import DegreeMismatch, TooLarge
-from .graphs import Graph, count_stable_partitions
+from .graphs import _TYPES_KEPT, Graph, count_stable_partitions
 from .partitions import Partition, _Record, enumerate_partitions, sort_to_partition
 from .symfunc import SymFunc
 
@@ -124,7 +124,8 @@ def enumerate_srht(
     return tuple(tabloids)
 
 
-@lru_cache(maxsize=None)
+# Bounded like the per-graph memos: Schur questions past 12 vertices meet new graphs without end.
+@lru_cache(maxsize=_TYPES_KEPT)
 def _semi_ordered_count(G: Graph, type_: Partition) -> int:
     return count_stable_partitions(G, type_).semi_ordered_count
 

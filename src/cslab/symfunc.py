@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Mapping
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from itertools import repeat
+from math import comb, perm, prod
 from types import MappingProxyType
 
 from .errors import BasisMismatch, DegreeMismatch, EmptyFunction, SingularSystem, TooLarge
@@ -41,17 +41,37 @@ BASES = ("m", "e", "p", "s")
 #: this should go through targeted-coefficient routes instead.
 DEFAULT_DEGREE_CAP = 24
 
-Coeff = int | Fraction
+#: An exact coefficient: an int, or a ``fractions.Fraction`` once a division
+#: or a parse makes one.  Only annotations name it, so ``fractions`` is
+#: imported where a Fraction is built or tested for, not with the module.
+Coeff = "int | Fraction"
 
 
 def _normalize_coeff(c: Coeff) -> Coeff:
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
 
 def _exact_div(c: Coeff, d: Coeff) -> Coeff:
+    if type(c) is int and type(d) is int and c % d == 0:
+        return c // d
+    from fractions import Fraction
+
     return _normalize_coeff(Fraction(c) / Fraction(d))
+
+
+def _is_scalar(x) -> bool:
+    """True for the coefficients a SymFunc can be scaled by."""
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+
+    return isinstance(x, Fraction)
 
 
 class SymFunc(_Record):
@@ -165,10 +185,8 @@ class SymFunc(_Record):
         return SymFunc(self.basis, self.degree, {lam: v * c for lam, v in self.terms.items()})
 
     def __mul__(self, other) -> "SymFunc":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, SymFunc):
-            return NotImplemented
+            return self.scale(other) if _is_scalar(other) else NotImplemented
         if self.basis != other.basis:
             raise BasisMismatch(f"cannot multiply bases {self.basis!r} and {other.basis!r}")
         if self.basis in ("e", "p"):
@@ -184,9 +202,7 @@ class SymFunc(_Record):
         )
 
     def __rmul__(self, other) -> "SymFunc":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other) if _is_scalar(other) else NotImplemented
 
 
 # -- multiplying m-basis term dicts by one e_k or p_k -------------------------
@@ -579,20 +595,19 @@ def specialize_ones(f: SymFunc, k: int) -> Coeff:
     """
     if k < 0:
         raise ValueError(f"cannot specialize to {k} variables")
-    total: Coeff = Fraction(0)
+    total: Coeff = 0
     for lam, c in f.terms.items():
         if f.basis == "m":
-            val: Coeff = Fraction(perm(k, lam.length), lam.multiplicity_factorial())
+            # A multinomial coefficient, so the division is exact.
+            val = perm(k, lam.length) // lam.multiplicity_factorial()
         elif f.basis == "e":
-            val = 1
-            for part in lam:
-                val *= comb(k, part)
+            val = prod(map(comb, repeat(k), lam))
         elif f.basis == "s":
             val = _schur_at_ones(lam, k)
         else:  # p
             val = k ** lam.length
         total += c * val
-    return _normalize_coeff(Fraction(total))
+    return _normalize_coeff(total)
 
 
 # -- serialization ------------------------------------------------------------
@@ -638,6 +653,8 @@ def _json_text(head: dict, f: SymFunc) -> str:
 
 
 def from_json_dict(d: dict) -> SymFunc:
+    from fractions import Fraction
+
     terms: dict[Partition, Coeff] = {}
     for t in d["terms"]:
         lam = Partition(t["partition"])

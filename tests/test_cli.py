@@ -290,6 +290,18 @@ class TestPositivityVerb:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_import_loads_no_fractions(self):
+        # fractions loads decimal and numbers; only a division, a parse or a
+        # type check of a non-int coefficient needs it, and none runs here.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import sys, cslab.cli; print('fractions' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     def test_unknown_at_cap_exits_three(self, capsys):
         code, out, _ = run_cli(
             ["positivity", "--graph", "spider:9,2,1", "--basis", "s",

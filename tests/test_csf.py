@@ -9,6 +9,7 @@ route.
 
 import gc
 import random
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -21,6 +22,7 @@ from oracles import (
     odd_broom_e,
     path_e_terms,
     pendant_spider_e,
+    tree_chromatic,
 )
 
 from cslab import (
@@ -64,8 +66,20 @@ def fresh_tiers(monkeypatch):
 
 
 def _memo_entries() -> int:
-    """Path-series entries stored across every key tier."""
-    return sum(len(tier.paths) for tier in csf_module._TIERS)
+    """Path-series degrees stored across every key tier."""
+    return sum(len(tier.cores) for tier in csf_module._TIERS)
+
+
+def _layered(n: int, terms: dict) -> tuple:
+    """Flat packed terms of degree n split into the recurrences' layers by
+    their number of parts equal to 1, the low digit of a key."""
+    radix = csf_module._tier(n).places[2]
+    layers: list = []
+    for key, c in terms.items():
+        j = key % radix
+        layers += [{} for _ in range(j + 1 - len(layers))]
+        layers[j][key - j] = c
+    return tuple(layers)
 
 
 def e(parts, coeff=1):
@@ -488,6 +502,36 @@ class TestRecurrencesPastStableRange:
         assert path_csf_e(8) == change_basis(csf_via_tree_dp(build_family("path", 8)), "e")
 
 
+class TestRecurrenceInvariants:
+    """X_T(1^k) = k (k-1)^(n-1), the proper k-colorings of an n-vertex tree,
+    read from the recurrences' e-expansions (e_lam(1^k) = prod C(k, lam_i))
+    up to sizes no full route reaches, for k in {2, 3, 5, n}."""
+
+    @staticmethod
+    def assert_colorings(f: SymFunc, label):
+        n = f.degree
+        for k in {2, 3, 5, n}:
+            assert specialize_ones(f, k) == tree_chromatic(n, k), (label, k)
+
+    def test_paths_up_to_40_vertices(self):
+        for n in range(1, 41):
+            self.assert_colorings(path_csf_e(n), f"path:{n}")
+
+    def test_every_spider_up_to_24_vertices(self):
+        legs = [lam for n in range(4, 25) for lam in enumerate_partitions(n - 1) if lam.length == 3]
+        assert len(legs) == 358
+        for a, b, c in legs:
+            self.assert_colorings(spider_csf(a, b, c), (a, b, c))
+
+    @pytest.mark.parametrize("legs", [(36, 2, 1), (33, 4, 1), (32, 4, 2)])
+    def test_largest_swept_spiders(self, legs):
+        self.assert_colorings(spider_csf(*legs), legs)
+
+    def test_odd_double_brooms_up_to_middle_35(self):
+        for middle in range(1, 36, 2):
+            self.assert_colorings(broom_csf(middle), f"dbroom:2,{middle},2")
+
+
 @st.composite
 def _spider_legs(draw, total=17):
     """Legs a >= b >= c >= 1 of a spider with at most total + 1 vertices."""
@@ -556,11 +600,11 @@ class TestPackedRecurrences:
         for template, values in _SWEEP_FAMILIES[1:]:
             for value in values:
                 spec = template.format(value)
-                n, terms = csf_module._family_recurrence(parse_graph_spec(spec))()
-                if min(terms.values()) == 0:
+                n, layers = csf_module._family_recurrence(parse_graph_spec(spec))()
+                if min(min(layer.values()) for layer in layers if layer) == 0:
                     zero_below_positive.append(spec)
-                expected = csf_module._e_function(n, terms).min_coefficient()
-                assert csf_module._packed_min(n, terms) == expected, spec
+                expected = csf_module._e_function(n, layers).min_coefficient()
+                assert csf_module._packed_min(n, layers) == expected, spec
         assert "spider:6,2,1" in zero_below_positive
 
     @settings(max_examples=200, deadline=None)
@@ -576,12 +620,13 @@ class TestPackedRecurrences:
             sum(tier.places[k] for k in lam): data.draw(coeffs, label=str(tuple(lam)))
             for lam in lams
         }
+        layers = _layered(n, terms)
         if any(terms.values()):
-            expected = csf_module._e_function(n, terms).min_coefficient()
-            assert csf_module._packed_min(n, terms) == expected
+            expected = csf_module._e_function(n, layers).min_coefficient()
+            assert csf_module._packed_min(n, layers) == expected
         else:
             with pytest.raises(EmptyFunction):
-                csf_module._packed_min(n, terms)
+                csf_module._packed_min(n, layers)
 
     @settings(max_examples=25, deadline=None)
     @given(_spider_legs(39))
@@ -595,13 +640,53 @@ class TestPackedRecurrences:
         # part of a result of that tier's largest degree) to a partition of
         # its path length whose digits rebuild the key.
         for tier in csf_module._TIERS:
-            csf_module._path_terms(40, tier)
+            cores, ones = csf_module._path_terms(40, tier)
             for m in range(41):
-                for key in tier.paths[m]:
+                one_keys = [key + 1 for key in cores[m - 1]] if m else []
+                for key in [*cores[m], *one_keys]:
                     lam = csf_module._decode(key, tier.size)
                     assert type(lam) is Partition and lam.n == m
                     pairs = lam.multiplicities().pairs
                     assert sum(count * tier.places[part] for part, count in pairs) == key
+
+    def test_one_part_lists_follow_the_cores_below(self):
+        # No core key holds a part 1 (its low digit is 0), and ones[m] lists
+        # the coefficient of key + 1 for each key of cores[m - 1], in order.
+        tier = csf_module._Tier(64)
+        cores, ones = csf_module._path_terms(40, tier)
+        radix = tier.places[2]
+        assert ones[0] == []
+        for m in range(41):
+            assert all(key % radix == 0 for key in cores[m]), m
+            if m:
+                assert len(ones[m]) == len(cores[m - 1]), m
+        for m in range(1, 25):
+            for key, c in zip(cores[m - 1], ones[m]):
+                lam = csf_module._decode(key + 1, tier.size)
+                assert c == wolfe_path_coefficient(lam, m), (m, lam)
+        assert sum(map(len, cores.values())) == 37338
+        assert sum(map(len, ones.values())) == 31185
+
+    def test_path_layers_take_under_four_fifths_of_flat_dicts(self):
+        # The 40-vertex fill of one tier against the same terms held as one
+        # flat dict per path length, each key and coefficient an int object
+        # of its own (x + 0 is a new int past the cached small ones).
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cores, ones = csf_module._path_terms(40, csf_module._Tier(64))
+            layered = tracemalloc.get_traced_memory()[0] - start
+            start = tracemalloc.get_traced_memory()[0]
+            flat = {}
+            for m in range(41):
+                terms = flat[m] = {key + 0: c + 0 for key, c in cores[m].items()}
+                if m:
+                    terms.update((key + 1, c + 0) for key, c in zip(cores[m - 1], ones[m]))
+            flat_bytes = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, flat.values())) == 68523
+        assert layered < 0.8 * flat_bytes, (layered, flat_bytes)
 
     def test_pinned_path_series(self):
         f = path_csf_e(40)
@@ -709,7 +794,8 @@ class TestKeyTiers:
             results.append((G, broom))
         for G, value in results:
             assert compute_csf(G).min_coefficient() == value.min_coefficient(), G.label
-        assert [len(tier.paths) for tier in csf_module._TIERS] == [9, 13]
+        assert [len(tier.cores) for tier in csf_module._TIERS] == [9, 13]
+        assert [len(tier.ones) for tier in csf_module._TIERS] == [9, 13]
 
 
 class TestTripleDeletion:

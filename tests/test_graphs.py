@@ -20,6 +20,7 @@ from oracles import (
 
 import cslab.csf
 import cslab.graphs
+import cslab.rimhook
 from cslab import (
     BadSpec,
     Graph,
@@ -222,6 +223,40 @@ class TestShapeMemo:
         for memo in memos:
             assert memo.cache_info().maxsize == 128
             assert memo.cache_info().currsize == 128, memo
+
+
+class TestTypeMemos:
+    """The memos keyed by a graph and a partition type keep 64 types for
+    each of the 128 graphs the per-graph memos keep."""
+
+    BOUND = 64 * cslab.graphs._GRAPHS_KEPT
+
+    def test_two_hundred_graphs_leave_at_most_the_bound_of_connected_partitions(self):
+        rng = random.Random(4)
+        trees = sorted({random_tree(11, rng) for _ in range(400)}, key=lambda G: sorted(G.edges))
+        assert len(trees) >= 200
+        memo = cslab.graphs._has_connected_partition
+        memo.cache_clear()
+        types = list(enumerate_partitions(11))
+        for G in trees[:200]:
+            for lam in types:
+                has_connected_partition(G, lam)
+        # 200 graphs times 56 types ask for 11,200 entries.
+        assert (memo.cache_info().maxsize, memo.cache_info().currsize) == (self.BOUND, self.BOUND)
+
+    def test_two_hundred_graphs_leave_at_most_the_bound_of_semi_ordered_counts(self):
+        # Complete graphs less one edge end each count within a few vertices.
+        n = 20
+        full = frozenset((u, v) for u in range(n) for v in range(u + 1, n))
+        graphs = [Graph(n, full - {edge}) for edge in sorted(full)[:200]]
+        types = [lam for lam in enumerate_partitions(n) if lam.length <= 3]
+        memo = cslab.rimhook._semi_ordered_count
+        memo.cache_clear()
+        for G in graphs:
+            for lam in types:
+                memo(G, lam)
+        # 200 graphs times 44 types ask for 8,800 entries.
+        assert (memo.cache_info().maxsize, memo.cache_info().currsize) == (self.BOUND, self.BOUND)
 
 
 class TestParsing:
