@@ -15,7 +15,7 @@ class TooLarge(ValueError):
     """An input exceeds the documented size cap for an exact algorithm."""
 
 
-class TooManyBlocks(ValueError):
+class TooManyBlocks(TooLarge):
     """A stable-partition type has more blocks than the configured cap."""
 
 

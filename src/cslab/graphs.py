@@ -21,12 +21,16 @@ counting here is exact integer arithmetic.  All types at once come from a
 subset DP over vertex bitmasks (``enumerate_stable_partitions``); one type
 at a time from a backtracking count over vertices
 (``count_stable_partitions``), which shares no code with the DP.
+
+Each graph is walked once, by one breadth-first search, and ``_shape``
+keeps four facts from it: the components, the hub arms of a tree, the
+visiting order that the backtracking count follows, and the vertices at
+odd depth, which ``balanced_stable_bipartition`` reads as a 2-colouring.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Iterator
 from functools import lru_cache
 from operator import add, itemgetter
@@ -39,7 +43,7 @@ from .errors import (
     TooLarge,
     TooManyBlocks,
 )
-from .partitions import Partition, _Record
+from .partitions import Partition, _part_tuples, _Record
 
 
 class Graph(_Record):
@@ -114,37 +118,48 @@ def connected_components(G: Graph) -> tuple:
 
 @lru_cache(maxsize=_GRAPHS_KEPT)
 def _shape(G: Graph) -> tuple:
-    """(``connected_components(G)``, ``_hub_arms(G)``), found in one pass
-    per graph and kept for the questions that follow."""
+    """(components, hub arms, search order, odd) of G: the three results of
+    ``_components`` and, on a tree, ``_walk_arms``, found in one walk per
+    graph and kept for the questions that follow."""
     masks = _adjacency_masks(G)
-    components = _components(masks)
+    components, order, odd = _components(masks)
     tree = len(components) == 1 and len(G.edges) == G.n - 1
-    return components, (_walk_arms(masks) if tree else None)
+    return components, (_walk_arms(masks) if tree else None), order, odd
 
 
 def _components(masks: tuple) -> tuple:
-    """Components of the graph with neighbour bitmasks ``masks``, as
-    ``connected_components`` lays them out."""
+    """One breadth-first search of the graph with neighbour bitmasks
+    ``masks``, from the least vertex of each component, taking neighbours
+    in increasing order.  Returns the components as
+    ``connected_components`` lays them out; the visiting order, in which
+    every vertex after a component's first touches an earlier one, so a
+    block assignment in that order prunes on adjacency early; and the
+    bitmask of the vertices at odd depth, a proper 2-colouring when the
+    graph has one."""
     seen = 0
+    odd = 0
+    order = []
     components = []
     for start in range(len(masks)):
         if seen >> start & 1:
             continue
         seen |= 1 << start
-        stack = [start]
-        members = [start]
-        while stack:
-            v = stack.pop()
+        first = len(order)
+        order.append(start)
+        i = first
+        while i < len(order):
+            v = order[i]
+            i += 1
             fresh = masks[v] & ~seen
+            seen |= fresh
+            if not odd >> v & 1:
+                odd |= fresh
             while fresh:
                 bit = fresh & -fresh
                 fresh ^= bit
-                seen |= bit
-                w = bit.bit_length() - 1
-                stack.append(w)
-                members.append(w)
-        components.append(tuple(sorted(members)))
-    return tuple(components)
+                order.append(bit.bit_length() - 1)
+        components.append(tuple(sorted(order[first:])))
+    return tuple(components), tuple(order), odd
 
 
 def is_forest(G: Graph) -> bool:
@@ -423,29 +438,6 @@ class StablePartitionCount(_Record):
             )
 
 
-def _search_order(G: Graph) -> list:
-    """Vertices ordered so each one (after the first per component) touches
-    an earlier one, which lets block assignment prune on adjacency early."""
-    masks = _adjacency_masks(G)
-    order = []
-    seen = 0
-    for start in range(G.n):
-        if seen >> start & 1:
-            continue
-        seen |= 1 << start
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            fresh = masks[v] & ~seen
-            while fresh:
-                bit = fresh & -fresh
-                fresh ^= bit
-                seen |= bit
-                queue.append(bit.bit_length() - 1)
-    return order
-
-
 def _ordered_stable_count(G: Graph, lam: Partition) -> int:
     """Assignments of vertices to distinguishable blocks with sizes lam and
     no edge inside a block.
@@ -454,12 +446,12 @@ def _ordered_stable_count(G: Graph, lam: Partition) -> int:
     explored once and multiplied, which keeps the search near the number of
     genuinely distinct partial partitions.
     """
-    order = _search_order(G)
+    order = _shape(G)[2]
     masks = _adjacency_masks(G)
     return _assign(0, G.n, order, masks, list(lam), [0] * lam.length, range(lam.length))
 
 
-def _assign(i: int, n: int, order: list, masks, remaining: list, members: list, blocks) -> int:
+def _assign(i: int, n: int, order: tuple, masks, remaining: list, members: list, blocks) -> int:
     """Completions of a partial assignment of ``order[:i]``, the first i of
     n vertices, to the blocks indexed by ``blocks``: ``members[b]`` holds
     block b's vertex bitmask and ``remaining[b]`` its free capacity; both
@@ -529,17 +521,7 @@ def _part_insertions(n: int) -> tuple:
     partitions of m, each entry moving to the partition with one more part
     k; partitions of m with no part k read the sentinel (index -1).
     """
-    # Built here rather than by enumerate_partitions, whose validated
-    # Partition objects double the cost of this per-call table.
-    ranked = {(0, 0): [()]}
-    for m in range(1, n + 1):
-        for cap in range(1, m + 1):
-            ranked[m, cap] = [
-                (first,) + rest
-                for first in range(cap, 0, -1)
-                for rest in ranked[m - first, min(first, m - first)]
-            ]
-    parts = [ranked[m, m] for m in range(n + 1)]
+    parts = [list(_part_tuples(m, m)) for m in range(n + 1)]
     rank = [{p: i for i, p in enumerate(ps)} for ps in parts]
     insert = [[None] * (n + 1) for _ in range(n + 1)]
     for m in range(1, n + 1):
@@ -717,30 +699,17 @@ def balanced_stable_bipartition(G: Graph) -> bool:
     size by at most one."""
     if G.n == 0:
         raise NotConnected("the empty graph has no bipartition classes")
+    components, _, order, odd = _shape(G)
     masks = _adjacency_masks(G)
-    color = [-1] * G.n
-    color[0] = 0
-    queue = deque([0])
-    visited = 1
-    while queue:
-        v = queue.popleft()
-        mask = masks[v]
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            w = bit.bit_length() - 1
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                visited += 1
-                queue.append(w)
-            elif color[w] == color[v]:
-                raise NotBipartite(
-                    f"vertices {v} and {w} are adjacent with equal color"
-                )
-    if visited != G.n:
-        raise NotConnected(f"only {visited} of {G.n} vertices are reachable")
-    ones = sum(color)
-    return abs(G.n - 2 * ones) <= 1
+    reached = len(components[0])
+    for v in order[:reached]:
+        same = masks[v] & (odd if odd >> v & 1 else ~odd)
+        if same:
+            w = (same & -same).bit_length() - 1
+            raise NotBipartite(f"vertices {v} and {w} are adjacent with equal color")
+    if reached != G.n:
+        raise NotConnected(f"only {reached} of {G.n} vertices are reachable")
+    return abs(G.n - 2 * odd.bit_count()) <= 1
 
 
 def chromatic_polynomial(G: Graph, k: int) -> int:
@@ -773,7 +742,7 @@ def _chromatic_value(n: int, edges: tuple, k: int) -> int:
         return k**n
     # Uncached: the graphs of deletion-contraction would crowd the questions'
     # graphs out of the per-graph memos.
-    components = _components(_adjacency_masks.__wrapped__(Graph(n, frozenset(edges))))
+    components = _components(_adjacency_masks.__wrapped__(Graph(n, frozenset(edges))))[0]
     if len(components) > 1:
         value = 1
         for comp in components:

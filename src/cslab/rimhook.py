@@ -145,6 +145,7 @@ def schur_coefficient(G: Graph, lam):
         raise DegreeMismatch(
             f"partition sums to {lam.n} but the graph has {G.n} vertices"
         )
+    # Kept: counting every content instead took path:10's shapes from 0.05 s to 7.6 s.
     fm = compute_csf(G, "stable-m").value if G.n <= 12 else None
     rows = []
     total = 0

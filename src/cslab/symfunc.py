@@ -379,6 +379,7 @@ def _beads_shape(beads: int) -> Partition:
     return Partition._unchecked(bit + i + 1 - len(bits) for i, bit in enumerate(bits))
 
 
+# Kept: on tree-expand's trees 90% of calls repeat a pair, and p->s ran ~45% slower without it.
 @lru_cache(maxsize=None)
 def _add_strips(beads: int, k: int) -> tuple[tuple[int, int], ...]:
     """Each beta-set whose shape adds a border strip of k cells to the shape

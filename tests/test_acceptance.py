@@ -33,7 +33,6 @@ from cslab import (
     random_tree,
     run_sweep,
     schur_coefficient,
-    schur_expansion_solve,
     schur_positivity,
     specialize_ones,
     spider_csf,
@@ -42,6 +41,7 @@ from cslab import (
 )
 from cslab.cli import main as cli_main
 from cslab.positivity import NO, YES
+from cslab.rimhook import schur_expansion_solve
 
 DURATIONS: dict = {}
 

@@ -204,6 +204,15 @@ class TestCoeffVerbs:
         )
         assert "trace" not in json.loads(out)
 
+    def test_block_cap_exits_three(self, capsys):
+        # Past 12 vertices a tabloid content is counted on its own, and a
+        # content of 9 blocks is over the count's cap of 8.  On a complete
+        # graph the contents counted before it fail at once.
+        argv = ["schur-coeff", "--graph", "complete:14", "--partition", "2,2,2,1,1,1,1,1,1,1,1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert "cslab: capped: type has 9 blocks, cap is 8" in err
+
 
 class TestPositivityVerb:
     def test_both_verdicts_reported(self, capsys):

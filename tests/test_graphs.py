@@ -2,6 +2,7 @@
 brute enumeration."""
 
 import gc
+import itertools
 import random
 import tracemalloc
 
@@ -25,6 +26,7 @@ from cslab import (
     BadSpec,
     Graph,
     NotBipartite,
+    NotConnected,
     Partition,
     TooLarge,
     TooManyBlocks,
@@ -34,6 +36,7 @@ from cslab import (
     chromatic_polynomial,
     compute_csf,
     count_stable_partitions,
+    e_positivity,
     enumerate_partitions,
     enumerate_stable_partitions,
     has_connected_partition,
@@ -41,6 +44,7 @@ from cslab import (
     random_graph,
     random_tree,
     run_sweep,
+    schur_positivity,
     specialize_ones,
     spider_legs,
 )
@@ -54,21 +58,32 @@ def _relabelled(G: Graph, rng: random.Random) -> Graph:
     return Graph(G.n, frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in G.edges))
 
 
-def is_connected(G: Graph) -> bool:
-    if G.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
+def _reach(G: Graph, start: int) -> set:
+    """Vertices joined to ``start`` by a path, found by a plain search."""
     adjacency = {v: set() for v in range(G.n)}
     for u, v in G.edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
+    seen = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for w in adjacency[v] - seen:
             seen.add(w)
             stack.append(w)
-    return len(seen) == G.n
+    return seen
+
+
+def _induced(G: Graph, vertices) -> Graph:
+    """The subgraph induced on ``vertices``, relabelled 0..k-1 in order."""
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    return Graph(len(index), frozenset(
+        (index[u], index[v]) for u, v in G.edges if u in index and v in index
+    ))
+
+
+def is_connected(G: Graph) -> bool:
+    return G.n == 0 or len(_reach(G, 0)) == G.n
 
 
 class TestGraphBasics:
@@ -203,6 +218,44 @@ class TestShapeMemo:
         with pytest.raises(AttributeError):
             arms[0][1].append((1, 9))
         assert connected_components(Graph(5, frozenset({(0, 3), (1, 2)}))) is components
+
+    def test_search_order_and_odd_depths(self):
+        rng = random.Random(11)
+        for i in range(300):
+            n = rng.randrange(0, 12)
+            G = random_tree(n, rng) if i % 3 == 0 and n else random_graph(n, rng.random() / 2, rng)
+            components, _, order, odd = cslab.graphs._shape(G)
+            assert sorted(order) == list(range(G.n))
+            masks = cslab.graphs._adjacency_masks(G)
+            at = 0
+            for component in components:
+                assert order[at] == component[0]
+                earlier = 1 << order[at]
+                for v in order[at + 1 : at + len(component)]:
+                    assert masks[v] & earlier, (G, v)
+                    earlier |= 1 << v
+                assert sorted(order[at : at + len(component)]) == list(component)
+                at += len(component)
+            if chromatic_by_colorings(G, 2):
+                assert all((odd >> u & 1) != (odd >> v & 1) for u, v in G.edges)
+
+    @pytest.mark.parametrize("spec", ["dbroom:2,13,3", "cycle:8"])
+    def test_both_questions_walk_the_graph_once(self, spec, monkeypatch):
+        # Past the cap, dbroom:2,13,3's Schur question counts the targeted
+        # tabloid contents one type at a time.
+        walks = []
+        walk = cslab.graphs._components
+        monkeypatch.setattr(
+            cslab.graphs, "_components", lambda masks: walks.append(masks) or walk(masks)
+        )
+        cslab.graphs._shape.cache_clear()
+        cslab.rimhook._semi_ordered_count.cache_clear()
+        G = parse_graph_spec(spec)
+        e_positivity(G)
+        schur_positivity(G)
+        assert len(walks) == 1
+        if G.n > 12:
+            assert cslab.rimhook._semi_ordered_count.cache_info().misses > 0
 
     def test_deletion_contraction_keeps_out_of_the_memos(self):
         G = random_tree(16, random.Random(5))
@@ -425,6 +478,42 @@ class TestBipartition:
     def test_odd_cycle_is_not_bipartite(self):
         with pytest.raises(NotBipartite):
             balanced_stable_bipartition(build_family("cycle", 5))
+
+    def test_matches_brute_force_two_colourings(self):
+        # A non-bipartite component of vertex 0 is reported before a second
+        # component; a connected bipartite graph has exactly two colourings,
+        # which swap its classes.
+        rng = random.Random(24)
+        seen = set()
+        for _ in range(400):
+            n = rng.randrange(1, 11)
+            G = random_graph(n, rng.choice([0.1, 0.2, 0.35, 0.6]), rng)
+            first = _induced(G, _reach(G, 0))
+            try:
+                balanced = balanced_stable_bipartition(G)
+            except NotBipartite as exc:
+                seen.add("not bipartite")
+                assert chromatic_by_colorings(first, 2) == 0
+                v, w = (int(word) for word in str(exc).split()[1:4:2])
+                assert (min(v, w), max(v, w)) in G.edges
+                continue
+            except NotConnected:
+                seen.add("not connected")
+                assert chromatic_by_colorings(first, 2) > 0 and first.n < G.n
+                continue
+            seen.add(balanced)
+            assert chromatic_by_colorings(G, 2) == 2
+            sizes = {
+                abs(n - 2 * sum(colours))
+                for colours in itertools.product((0, 1), repeat=n)
+                if all(colours[u] != colours[v] for u, v in G.edges)
+            }
+            assert balanced == (sizes.pop() <= 1)
+        assert seen == {"not bipartite", "not connected", True, False}
+
+    def test_empty_graph_is_not_connected(self):
+        with pytest.raises(NotConnected, match="empty graph"):
+            balanced_stable_bipartition(Graph(0))
 
 
 class TestChromaticPolynomial:

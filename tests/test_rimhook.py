@@ -25,8 +25,8 @@ from cslab import (
     parse_graph_spec,
     random_tree,
     schur_coefficient,
-    schur_expansion_solve,
 )
+from cslab.rimhook import schur_expansion_solve
 
 
 def content_sign_set(shape):
