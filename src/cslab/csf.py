@@ -27,9 +27,11 @@ ways, which deliberately share no code path:
   vertices.
 
 ``compute_csf`` is the one place that chooses and runs a route, from the
-graph and the target basis, and converts the result to that basis; the
-generic routes are memoised per graph there, so every question asked of
-the same graph shares one expansion.  Triple deletion is not a route: it
+graph and the target basis, and converts the result to that basis (from p
+to e or s, the converted terms stay packed like a recurrence's, so that a
+positivity verdict decodes only its witness); the generic routes are
+memoised per graph there, so every question asked of the same graph
+shares one expansion.  Triple deletion is not a route: it
 rewrites a CSF along the identities relating the graphs obtained by adding
 subsets of a triangle, and the verify suite checks it against the routes.
 
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache, partial
-from itertools import chain
 from math import factorial
 from operator import add
 
@@ -60,7 +61,16 @@ from .graphs import (
     is_forest,
 )
 from .partitions import Partition
-from .symfunc import DEFAULT_DEGREE_CAP, Coeff, SymFunc, _unpack, change_basis
+from .symfunc import (
+    DEFAULT_DEGREE_CAP,
+    Coeff,
+    SymFunc,
+    _decoded,
+    _from_p,
+    _packed_min,
+    _unpack,
+    change_basis,
+)
 
 ROUTES = ("stable-m", "edge-p", "tree-p", "family-recurrence")
 
@@ -68,16 +78,17 @@ ROUTES = ("stable-m", "edge-p", "tree-p", "family-recurrence")
 class CsfResult:
     """A computed CSF together with the route that produced it.
 
-    A family recurrence may hand over ``packed``, its (degree, packed
-    e-layers), instead of a SymFunc: ``value`` then decodes every key on
-    first read, while ``min_coefficient`` decodes only the keys that hold
-    the minimum.
+    A family recurrence, or a conversion out of p, may hand over
+    ``packed`` (basis, degree, integer-keyed layers and the decoder of one
+    key; see ``symfunc._decoded``) instead of a SymFunc: ``value`` then
+    decodes every key on first read, while ``min_coefficient`` decodes
+    only the keys that hold the minimum.
     """
 
     def __init__(self, graph: Graph, route: str, value: SymFunc | None = None, packed=None):
         if route not in ROUTES:
             raise BadSpec(f"unknown route {route!r}; expected one of {ROUTES}")
-        degree = value.degree if packed is None else packed[0]
+        degree = value.degree if packed is None else packed[1]
         if degree != graph.n:
             raise DegreeMismatch(f"CSF degree {degree} does not match vertex count {graph.n}")
         self.graph, self.route, self._value, self._packed = graph, route, value, packed
@@ -85,7 +96,7 @@ class CsfResult:
     @property
     def value(self) -> SymFunc:
         if self._value is None:
-            self._value = _e_function(*self._packed)
+            self._value = _decoded(*self._packed)
         return self._value
 
     def min_coefficient(self) -> tuple[Partition, Coeff]:
@@ -170,8 +181,12 @@ def _rooted_table(root: int, masks: tuple, top: int, width: int) -> dict:
     tables: dict = {}
     for v in reversed(order):
         table = {1 << top: 1}
-        for c in children[v]:
-            table = _join(table, tables.pop(c), top, width)
+        # Leaves (one state) first, while the table is still small, then
+        # the other children, largest table first: on the census double
+        # brooms this cuts the pair products of the joins by two fifths.
+        kids = sorted((tables.pop(c) for c in children[v]), key=lambda t: (len(t) > 1, -len(t)))
+        for child in kids:
+            table = _join(table, child, top, width)
         tables[v] = table
     return tables[root]
 
@@ -202,7 +217,7 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
                 key = kx + _closed(ky, top, width)
                 product[key] = product.get(key, 0) + x * y
         total = product
-    return SymFunc("p", G.n, {_unpack(key, width): c for key, c in total.items() if c})
+    return SymFunc("p", G.n, {_unpack(width, key): c for key, c in total.items() if c})
 
 
 # -- path recurrence ----------------------------------------------------------
@@ -279,20 +294,10 @@ def _decode(key: int, n: int) -> Partition:
     return Partition._unchecked(parts)
 
 
-def _e_function(n: int, layers) -> SymFunc:
-    """The degree-n e-basis SymFunc of packed layers, every nonzero key
-    decoded."""
-    return SymFunc("e", n, {_decode(key + j, n): c for j, layer in enumerate(layers)
-                            for key, c in layer.items() if c})
-
-
-def _packed_min(n: int, layers) -> tuple[Partition, int]:
-    """``_e_function(n, layers).min_coefficient()``, decoding only the keys
-    that hold the smallest nonzero coefficient."""
-    values = [layer.values() for layer in layers]
-    low = min(map(min, filter(None, values)), default=0) or min(filter(None, chain(*values)), default=0)
-    return SymFunc("e", n, {_decode(key + j, n): c for j, layer in enumerate(layers)
-                            for key, c in layer.items() if c == low}).min_coefficient()
+def _packed_e(n: int, layers) -> tuple:
+    """A recurrence's degree-n e-layers as a packed result (see
+    ``symfunc._decoded``), each key decoded by ``_decode``."""
+    return "e", n, layers, partial(_decode, n=n)
 
 
 def _path_packed(n: int) -> tuple[int, tuple]:
@@ -316,7 +321,7 @@ def path_csf_e(n: int) -> SymFunc:
     recurrences read those memos, never the SymFunc returned here, whose terms are read-only.  Raises TooLarge
     past 255 vertices, the largest tier.
     """
-    return _e_function(*_path_packed(n))
+    return _decoded(*_packed_e(*_path_packed(n)))
 
 
 def wolfe_path_coefficient(lam, d: int) -> int:
@@ -407,7 +412,7 @@ def spider_csf(a: int, b: int, c: int) -> SymFunc:
     at most two parts equal to 1), so this route reaches degrees far
     beyond the full-expansion cap.  Raises TooLarge past 255 vertices.
     """
-    return _e_function(*_spider_packed(a, b, c))
+    return _decoded(*_packed_e(*_spider_packed(a, b, c)))
 
 
 def _broom_packed(middle: int) -> tuple[int, tuple]:
@@ -439,7 +444,7 @@ def broom_csf(middle: int) -> SymFunc:
     are combined on the spiders' packed dicts.  Raises TooLarge past 255
     vertices.
     """
-    return _e_function(*_broom_packed(middle))
+    return _decoded(*_packed_e(*_broom_packed(middle)))
 
 
 # -- triple deletion ----------------------------------------------------------
@@ -592,12 +597,15 @@ def compute_csf(
                 "a double broom with two leaves per side and an odd middle"
             )
         if basis in (None, "e"):
-            return CsfResult(G, route, packed=family())
+            return CsfResult(G, route, packed=_packed_e(*family()))
     if G.n > cap:
         raise TooLarge(f"{G.n} vertices exceed the cap {cap}")
     # The memo key ignores the graph's label (Graph equality does), so the
     # result wraps the caller's graph, not the one first cached.
-    value = _e_function(*family()) if family else _generic_csf(G, route)
+    value = _decoded(*_packed_e(*family())) if family else _generic_csf(G, route)
     if basis is not None and value.basis != basis:
+        if value.basis == "p" and basis in ("e", "s"):
+            # Left packed: a positivity question decodes only its witness.
+            return CsfResult(G, route, packed=_from_p(value, basis))
         value = change_basis(value, basis, cap=cap)
     return CsfResult(G, route, value)

@@ -482,8 +482,19 @@ def _assign(i: int, n: int, order: tuple, masks, remaining: list, members: list,
     return total
 
 
+#: Default block cap of ``count_stable_partitions``.
+_BLOCK_CAP = 8
+
+
+def _check_blocks(lam: Partition, max_blocks: int = _BLOCK_CAP) -> None:
+    """Refuse a type of more than ``max_blocks`` blocks, the cap that
+    guards stable-partition counting's exponential regime."""
+    if lam.length > max_blocks:
+        raise TooManyBlocks(f"type has {lam.length} blocks, cap is {max_blocks}")
+
+
 def count_stable_partitions(
-    G: Graph, type_, max_blocks: int = 8
+    G: Graph, type_, max_blocks: int = _BLOCK_CAP
 ) -> StablePartitionCount:
     """Count the stable partitions of G with the given block-size type.
 
@@ -497,10 +508,7 @@ def count_stable_partitions(
         raise DegreeMismatch(
             f"type sums to {lam.n} but the graph has {G.n} vertices"
         )
-    if lam.length > max_blocks:
-        raise TooManyBlocks(
-            f"type has {lam.length} blocks, cap is {max_blocks}"
-        )
+    _check_blocks(lam, max_blocks)
     ordered = _ordered_stable_count(G, lam)
     lam_fact = lam.multiplicity_factorial()
     count, rem = divmod(ordered, lam_fact)

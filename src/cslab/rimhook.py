@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .csf import compute_csf
 from .errors import DegreeMismatch, TooLarge
-from .graphs import _TYPES_KEPT, Graph, count_stable_partitions
+from .graphs import _TYPES_KEPT, Graph, _check_blocks, count_stable_partitions
 from .partitions import Partition, _Record, enumerate_partitions, sort_to_partition
 from .symfunc import SymFunc
 
@@ -147,9 +147,15 @@ def schur_coefficient(G: Graph, lam):
         )
     # Kept: counting every content instead took path:10's shapes from 0.05 s to 7.6 s.
     fm = compute_csf(G, "stable-m").value if G.n <= 12 else None
+    tabloids = enumerate_srht(lam)
+    if fm is None:
+        # A content over the block cap refuses the question, so refuse it
+        # before counting the others, which can take minutes.
+        for T in tabloids:
+            _check_blocks(T.content_type)
     rows = []
     total = 0
-    for T in enumerate_srht(lam):
+    for T in tabloids:
         t = T.content_type
         semi = fm.coefficient(t) if fm is not None else _semi_ordered_count(G, t)
         rows.append((T.content, T.sign, semi))

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Mapping
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
+from itertools import chain, repeat
 from math import comb, perm, prod
 from types import MappingProxyType
 
@@ -332,6 +332,7 @@ def _s_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
 # end, each through a memo.
 
 
+# Kept: tree-expand's 21 trees, in e and s, read it 2,133 times for 16 misses.
 @lru_cache(maxsize=None)
 def _power_in_e(k: int, width: int) -> tuple[tuple[int, int], ...]:
     """p_k in the e basis, with packed keys (the multiplicity of part j
@@ -358,10 +359,12 @@ def _times_newton(terms: Mapping[int, Coeff], k: int, width: int, out: dict) -> 
             out[key] = get(key, 0) + c * d
 
 
+# Kept: tree-expand's 21 trees, in e and s, read it 5,927 times for 542 misses.
 @lru_cache(maxsize=None)
-def _unpack(key: int, width: int) -> Partition:
-    """The Partition of a packed e key, peeled from its top field down, so
-    the parts come out in decreasing order."""
+def _unpack(width: int, key: int) -> Partition:
+    """The Partition of a packed e key with ``width`` bits per field,
+    peeled from its top field down, so the parts come out in decreasing
+    order."""
     parts: list = []
     while key:
         part = (key.bit_length() - 1) // width
@@ -371,6 +374,7 @@ def _unpack(key: int, width: int) -> Partition:
     return Partition._unchecked(parts)
 
 
+# Kept: tree-expand's 21 trees, in e and s, read it 2,821 times for 499 misses.
 @lru_cache(maxsize=None)
 def _beads_shape(beads: int) -> Partition:
     """The Partition of a beta-set: the bead of row i of l sits at bit
@@ -437,6 +441,7 @@ _STEPS = {
 }
 
 
+# Kept: tree-expand's 21 trees, in e and s, read it 6,802 times for 94 misses.
 @lru_cache(maxsize=None)
 def _row(pair: tuple[str, str], size: int, mu: tuple) -> tuple[tuple[object, Coeff], ...]:
     """The basis element of ``pair``'s source indexed by mu, in its target:
@@ -478,16 +483,39 @@ def _horner(pair: tuple[str, str], size: int, terms: Mapping[tuple, Coeff]) -> d
     return convert(0, len(items), 0)
 
 
-def _from_p(f: SymFunc, target: str) -> SymFunc:
-    """The power-sum function f in the e or s basis."""
+def _from_p(f: SymFunc, target: str) -> tuple:
+    """The power-sum function f in the e or s basis, packed: (target,
+    degree, its one layer of integer-keyed terms, the key's decoder)."""
     if target == "s":
-        terms = _horner(("p", "s"), 0, f.terms)
-        return SymFunc("s", f.degree, {_beads_shape(lam): c for lam, c in terms.items() if c})
+        return "s", f.degree, (_horner(("p", "s"), 0, f.terms),), _beads_shape
     # Bits per part multiplicity: a byte, unless a multiplicity could
     # overflow it.
     width = max(8, f.degree.bit_length())
-    packed = _horner(("p", "e"), width, f.terms)
-    return SymFunc("e", f.degree, {_unpack(key, width): c for key, c in packed.items() if c})
+    return "e", f.degree, (_horner(("p", "e"), width, f.terms),), partial(_unpack, width)
+
+
+# -- packed results ------------------------------------------------------------
+#
+# A packed result is (basis, degree, layers, decode): layer j maps integer
+# keys to coefficients, and the term of key k in layer j is decode(k + j).
+# Conversions out of p hand over one layer; the family recurrences of
+# ``cslab.csf`` hold one layer per number of parts 1, whose key adds 1.
+# Zero coefficients may stay in the layers.
+
+
+def _decoded(basis: str, degree: int, layers, decode) -> SymFunc:
+    """The SymFunc of a packed result, every nonzero key decoded."""
+    return SymFunc(basis, degree, {decode(key + j): c for j, layer in enumerate(layers)
+                                   for key, c in layer.items() if c})
+
+
+def _packed_min(basis: str, degree: int, layers, decode) -> tuple[Partition, Coeff]:
+    """``_decoded(...).min_coefficient()``, decoding only the keys that hold
+    the smallest nonzero coefficient, so ties break as there."""
+    values = [layer.values() for layer in layers]
+    low = min(map(min, filter(None, values)), default=0) or min(filter(None, chain(*values)), default=0)
+    return SymFunc(basis, degree, {decode(key + j): c for j, layer in enumerate(layers)
+                                   for key, c in layer.items() if c == low}).min_coefficient()
 
 
 # -- change of basis ---------------------------------------------------------
@@ -563,7 +591,7 @@ def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymF
     if target == f.basis:
         return f
     if f.basis == "p" and target in ("e", "s"):
-        return _from_p(f, target)
+        return _decoded(*_from_p(f, target))
     fm = _to_m(f)
     if target == "m":
         return fm

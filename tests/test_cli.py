@@ -213,6 +213,19 @@ class TestCoeffVerbs:
         assert code == 3 and out == ""
         assert "cslab: capped: type has 9 blocks, cap is 8" in err
 
+    def test_block_cap_exits_three_before_counting(self):
+        # On a path, counting the contents that come before the first one of
+        # 9 blocks took over a minute; every content is checked against the
+        # cap before any is counted, so the refusal comes at once.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ["schur-coeff", "--graph", "path:14", "--partition", "2,2,2,1,1,1,1,1,1,1,1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "cslab.cli", *argv], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=5,
+        )
+        assert done.returncode == 3 and done.stdout == ""
+        assert "cslab: capped: type has 9 blocks, cap is 8" in done.stderr
+
 
 class TestPositivityVerb:
     def test_both_verdicts_reported(self, capsys):

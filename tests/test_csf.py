@@ -8,12 +8,13 @@ route.
 """
 
 import gc
+import pickle
 import random
 import tracemalloc
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -381,6 +382,46 @@ class TestTreeDp:
         p4 = csf_via_tree_dp(build_family("path", 4))
         assert f == p3 * p4
 
+    # Sum of |table| * 2|child| over the joins of the census double brooms
+    # and of every three-leg spider of at most 16 vertices, counted as in
+    # ``_join_work`` when each vertex joined its children in vertex-index
+    # order.
+    INDEX_ORDER_WORK = {"census": 11814, "spiders": 148630}
+
+    @staticmethod
+    def _join_work(monkeypatch, graphs) -> int:
+        """Pairs of (table state, child move) that ``_join`` multiplies
+        while tree-p expands the graphs: a child of s states makes 2s moves."""
+        work = [0]
+        join = csf_module._join
+
+        def counted(table, child, top, width):
+            work[0] += len(table) * 2 * len(child)
+            return join(table, child, top, width)
+
+        monkeypatch.setattr(csf_module, "_join", counted)
+        for G in graphs:
+            csf_via_tree_dp(G)
+        monkeypatch.undo()
+        return work[0]
+
+    def test_leaves_first_joins_cut_the_census_work(self, monkeypatch):
+        census = [build_family("dbroom", left, middle, right)
+                  for left in range(2, 12) for right in range(max(left, 3), 12)
+                  for middle in range(1, 12) if left + middle + right + 1 <= 12]
+        assert len(census) == 43
+        work = self._join_work(monkeypatch, census)
+        assert work <= 0.7 * self.INDEX_ORDER_WORK["census"], work
+
+    def test_leaves_first_joins_cost_spiders_nothing_in_total(self, monkeypatch):
+        # A hub with one leaf and two long legs, as in S(7, 7, 1), costs up
+        # to 3.6% more than in vertex-index order; the total must not rise.
+        spiders = [build_family("spider", a, b, c) for n in range(4, 17) for c in range(1, n)
+                   for b in range(c, n) for a in [n - 1 - b - c] if a >= b]
+        assert len(spiders) == 102
+        work = self._join_work(monkeypatch, spiders)
+        assert work <= self.INDEX_ORDER_WORK["spiders"], work
+
     def test_rejects_graphs_with_cycles(self):
         with pytest.raises(BadSpec):
             csf_via_tree_dp(build_family("cycle", 5))
@@ -600,11 +641,11 @@ class TestPackedRecurrences:
         for template, values in _SWEEP_FAMILIES[1:]:
             for value in values:
                 spec = template.format(value)
-                n, layers = csf_module._family_recurrence(parse_graph_spec(spec))()
-                if min(min(layer.values()) for layer in layers if layer) == 0:
+                packed = csf_module._packed_e(*csf_module._family_recurrence(parse_graph_spec(spec))())
+                if min(min(layer.values()) for layer in packed[2] if layer) == 0:
                     zero_below_positive.append(spec)
-                expected = csf_module._e_function(n, layers).min_coefficient()
-                assert csf_module._packed_min(n, layers) == expected, spec
+                expected = csf_module._decoded(*packed).min_coefficient()
+                assert csf_module._packed_min(*packed) == expected, spec
         assert "spider:6,2,1" in zero_below_positive
 
     @settings(max_examples=200, deadline=None)
@@ -620,13 +661,13 @@ class TestPackedRecurrences:
             sum(tier.places[k] for k in lam): data.draw(coeffs, label=str(tuple(lam)))
             for lam in lams
         }
-        layers = _layered(n, terms)
+        packed = csf_module._packed_e(n, _layered(n, terms))
         if any(terms.values()):
-            expected = csf_module._e_function(n, layers).min_coefficient()
-            assert csf_module._packed_min(n, layers) == expected
+            expected = csf_module._decoded(*packed).min_coefficient()
+            assert csf_module._packed_min(*packed) == expected
         else:
             with pytest.raises(EmptyFunction):
-                csf_module._packed_min(n, layers)
+                csf_module._packed_min(*packed)
 
     @settings(max_examples=25, deadline=None)
     @given(_spider_legs(39))
@@ -725,6 +766,62 @@ class TestPackedRecurrences:
         assert _memo_entries() == 2
 
 
+@st.composite
+def _forests(draw, most=12):
+    """A forest of 0 to ``most`` vertices: each vertex after the first joins
+    an earlier one, or none."""
+    n = draw(st.integers(0, most))
+    parents = [draw(st.integers(-1, v - 1)) for v in range(1, n)]
+    return Graph(n, frozenset((u, v) for v, u in enumerate(parents, 1) if u >= 0))
+
+
+class TestPackedConversions:
+    """Forest questions in e or s keep the converted terms packed, and
+    decode only the keys that hold the minimum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_forests(), st.sampled_from("es"))
+    @example(parse_graph_spec("edges:0:"), "e")
+    @example(parse_graph_spec("edges:0:"), "s")
+    @example(parse_graph_spec("edges:1:"), "e")
+    @example(parse_graph_spec("edges:1:"), "s")
+    def test_minimum_and_value_of_random_forests(self, G, target):
+        lazy = compute_csf(G, basis=target).min_coefficient()
+        value = compute_csf(G, basis=target).value
+        assert lazy == value.min_coefficient()
+        assert type(lazy[0]) is Partition
+        tree = compute_csf(G, "tree-p").value
+        assert value == change_basis(tree, target)
+        assert tree.terms == csf_via_edge_subsets(G).terms
+
+    @pytest.mark.parametrize("spec", ["dbroom:3,4,3", "spider:4,2,1"])
+    @pytest.mark.parametrize("target", ["e", "s"])
+    def test_packed_results_pickle(self, spec, target):
+        # A packed result carries its decoder, which must pickle as well.
+        result = compute_csf(parse_graph_spec(spec), basis=target)
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.min_coefficient() == result.min_coefficient()
+        assert copy.value == result.value
+
+    @pytest.mark.parametrize(
+        "spec, target, tied, low",
+        [
+            ("star:4", "s", [(2, 2, 1), (3, 2)], -1),
+            ("star:7", "s", [(2, 2, 2, 2), (3, 2, 2, 1)], -84),
+            ("edges:8:0-2,1-5,1-6,2-3,2-4,4-5,4-7", "e", [(4, 2, 2), (4, 4)], -4),
+            ("edges:4:0-1,2-3", "s", [(1, 1, 1, 1), (2, 1, 1), (2, 2)], 4),
+        ],
+    )
+    def test_tied_minimum_takes_the_smallest_partition(self, spec, target, tied, low):
+        G = parse_graph_spec(spec)
+        result = compute_csf(G, basis=target)
+        assert result.route == "tree-p"
+        assert result.min_coefficient() == (Partition(tied[0]), low)
+        value = compute_csf(G, basis=target).value
+        assert sorted(lam for lam, c in value.terms.items() if c == low) == [Partition(t) for t in tied]
+        assert value.min_coefficient() == (Partition(tied[0]), low)
+
+
 def _tree_e(G) -> SymFunc:
     return change_basis(csf_via_tree_dp(G), "e")
 
@@ -774,7 +871,7 @@ class TestKeyTiers:
         monkeypatch.setattr(csf_module, "_TIERS", (csf_module._Tier(8), csf_module._Tier(255)))
         results = []
         for n in range(6, 13):
-            path = csf_module._e_function(*csf_module._path_packed(n))
+            path = csf_module._decoded(*csf_module._packed_e(*csf_module._path_packed(n)))
             oracle = {Partition(lam): c for lam, c in path_e_terms(n).items()}
             assert path == SymFunc("e", n, oracle) == _tree_e(build_family("path", n)), n
             results.append((build_family("path", n), path))

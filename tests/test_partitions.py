@@ -93,7 +93,7 @@ class TestUncheckedDecoders:
     @given(st.integers(0, 1 << 8 * 12), st.sampled_from([8, 9]))
     def test_packed_e_keys(self, key, width):
         # Field 0 would be a part 0, which no e key holds.
-        self.assert_checked_agrees(_unpack(key >> width << width, width))
+        self.assert_checked_agrees(_unpack(width, key >> width << width))
 
     @given(st.integers(0, 1 << 60))
     def test_beta_set_keys(self, beads):

@@ -12,6 +12,7 @@ from oracles import brute_connected_partition
 import cslab.csf
 import cslab.graphs
 import cslab.positivity
+import cslab.symfunc
 from cslab import (
     BadParity,
     BadSpec,
@@ -292,14 +293,16 @@ class Materialised(Exception):
 
 
 class TestPackedMinimum:
-    """An e-verdict from a family recurrence decodes only its witness."""
+    """A verdict from a family recurrence, or from tree-p converted to e
+    or s, decodes only its witness."""
 
     @pytest.fixture
     def materialiser(self, monkeypatch):
-        def refuse(n, terms):
-            raise Materialised(f"{len(terms)} packed terms of degree {n}")
+        def refuse(basis, n, layers, decode):
+            raise Materialised(f"{len(layers)} packed {basis}-layers of degree {n}")
 
-        monkeypatch.setattr(cslab.csf, "_e_function", refuse)
+        monkeypatch.setattr(cslab.csf, "_decoded", refuse)
+        monkeypatch.setattr(cslab.symfunc, "_decoded", refuse)
 
     @pytest.mark.parametrize(
         "spec, lam, coeff",
@@ -314,6 +317,21 @@ class TestPackedMinimum:
         assert report.e_positive == NO
         assert report.witness.partition == Partition(lam)
         assert report.witness.coefficient == coeff
+
+    @pytest.mark.parametrize(
+        "spec, decide, witness",
+        [
+            ("dbroom:3,4,3", e_positivity, ((5, 3, 2, 1), -86)),
+            ("dbroom:3,4,3", schur_positivity, ((6, 4, 1), -7)),
+            ("star:4", schur_positivity, ((2, 2, 1), -1)),
+            ("path:6", schur_positivity, None),
+        ],
+    )
+    def test_forest_verdict_builds_no_function(self, materialiser, spec, decide, witness):
+        report = decide(parse_graph_spec(spec))
+        assert (report.e_positive or report.schur_positive) == (YES if witness is None else NO)
+        if witness is not None:
+            assert (report.witness.partition, report.witness.coefficient) == (Partition(witness[0]), witness[1])
 
     def test_full_expansions_still_materialise(self, materialiser):
         with pytest.raises(Materialised):

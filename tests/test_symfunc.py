@@ -535,7 +535,7 @@ def test_property_power_sums_convert_like_peeling_from_m(degree_terms, target):
 def test_newton_table_matches_peeling_from_m(k, width):
     # The packed table of p_k in e against a route that never reads it:
     # p_k in m by Horner's rule, then peeled into e through e->m rows.
-    table = {_unpack(key, width): c for key, c in _power_in_e(k, width)}
+    table = {_unpack(width, key): c for key, c in _power_in_e(k, width)}
     assert table == _peel_from_m(_to_m(SymFunc.single("p", (k,))), "e").terms
 
 
