@@ -27,8 +27,8 @@ ways, which deliberately share no code path:
   vertices.
 
 ``compute_csf`` is the one place that chooses and runs a route, from the
-graph and the target basis, and converts the result to that basis (from p
-to e or s, the converted terms stay packed like a recurrence's, so that a
+graph and the target basis, and converts the result to that basis (through
+p; in e or s the converted terms stay packed like a recurrence's, so that a
 positivity verdict decodes only its witness); the generic routes are
 memoised per graph there, so every question asked of the same graph
 shares one expansion.  Triple deletion is not a route: it
@@ -66,8 +66,9 @@ from .symfunc import (
     Coeff,
     SymFunc,
     _decoded,
-    _from_p,
+    _horner_packed,
     _packed_min,
+    _to_p,
     _unpack,
     change_basis,
 )
@@ -603,9 +604,9 @@ def compute_csf(
     # The memo key ignores the graph's label (Graph equality does), so the
     # result wraps the caller's graph, not the one first cached.
     value = _decoded(*_packed_e(*family())) if family else _generic_csf(G, route)
+    if basis in ("e", "s"):
+        # Left packed: a positivity question decodes only its witness.
+        return CsfResult(G, route, packed=_horner_packed(_to_p(value), basis))
     if basis is not None and value.basis != basis:
-        if value.basis == "p" and basis in ("e", "s"):
-            # Left packed: a positivity question decodes only its witness.
-            return CsfResult(G, route, packed=_from_p(value, basis))
         value = change_basis(value, basis, cap=cap)
     return CsfResult(G, route, value)

@@ -77,9 +77,9 @@ def _route_equivalence(seed: int, count: int):
                     f"power-sum routes disagree on {_graph_spec(G)}: edge subsets gave "
                     f"{edges.terms_sorted()}, the tree DP gave {tree.terms_sorted()}"
                 )
-        # m compares the expansions; e and s also compare the direct
-        # power-sum conversions with triangular peeling from m.
-        for basis in ("m", "e", "s"):
+        # p checks stable-m peeled into p against the power-sum routes; m,
+        # e and s check the steps out of p on both.
+        for basis in ("m", "p", "e", "s"):
             from_stable = change_basis(stable, basis)
             for name, f in others.items():
                 converted = change_basis(f, basis)

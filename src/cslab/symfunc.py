@@ -9,18 +9,19 @@ partitions of a fixed degree, in one of four classical bases:
 - ``s``: Schur
 
 Coefficients are exact (int, promoted to Fraction only when division
-occurs).  Basis changes never solve a dense linear system.  p->e, p->s,
-p->m and e->m share one engine: Horner's rule over the parts of the whole
+occurs).  Basis changes never solve a dense linear system; p is the hub
+that all but s->m pass through.  Into p and out of it, e->p, p->e,
+p->s and p->m share one engine: Horner's rule over the parts of the whole
 function, so terms that share parts share the products of the parts they
-have in common.  Only its step differs by pair: multiplying by one p_k in
-e (Newton's identity; indices concatenate, since e is multiplicative), by
-one p_k in s (signed border strips, the Murnaghan-Nakayama rule), or by
-one p_k or e_k in m.  s->m goes term by term through Kostka numbers,
-since s is not multiplicative.  Every other change of basis goes through m
-and then peels the reverse-lexicographically extreme term of the
-residual, subtracting the matching pivot expansion, which is valid
-because the transition matrices are triangular with respect to dominance
-order and reverse-lexicographic order refines dominance.
+have in common.  Only its step differs by pair: multiplying by one e_k in
+p or one p_k in e (Newton's identities; indices concatenate, since both
+bases are multiplicative), by one p_k in s (signed border strips, the
+Murnaghan-Nakayama rule), or by one p_k in m.  m->p peels the
+reverse-lexicographically least term of the residual, subtracting its p
+row in m, which is valid because that transition matrix is triangular
+with respect to dominance order and reverse-lexicographic order refines
+dominance.  s->m goes term by term through Kostka numbers, since s is not
+multiplicative, and s reaches p through m.
 """
 
 from __future__ import annotations
@@ -205,47 +206,7 @@ class SymFunc(_Record):
         return self.scale(other) if _is_scalar(other) else NotImplemented
 
 
-# -- multiplying m-basis term dicts by one e_k or p_k -------------------------
-
-
-def _times_elementary(terms: Mapping[Partition, Coeff], k: int, size: int, out: dict) -> None:
-    """Add the m-basis terms times e_k (= the squarefree monomial sum) into
-    ``out``.
-
-    Multiplying a fixed monomial by k distinct variables bumps some existing
-    exponents by one and introduces the rest as new exponent-1 variables.
-    The choice is a bump count per exponent value; the resulting coefficient
-    counts which variables of the product monomial were bumped.
-    """
-    for rho, c in terms.items():
-        vals = rho.multiplicities().pairs
-        stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, k, ())]
-        while stack:
-            i, left, chosen = stack.pop()
-            if i == len(vals):
-                bumps = dict(chosen)
-                bumps[0] = left
-                counts = dict(vals)
-                for v, u in bumps.items():
-                    if not u:
-                        continue
-                    if v:
-                        counts[v] -= u
-                    counts[v + 1] = counts.get(v + 1, 0) + u
-                weight = 1
-                for v, u in bumps.items():
-                    if u:
-                        weight *= comb(counts[v + 1], u)
-                parts: list[int] = []
-                for v, m in counts.items():
-                    if m:
-                        parts.extend([v] * m)
-                mu = Partition(sorted(parts, reverse=True))
-                out[mu] = out.get(mu, 0) + c * weight
-                continue
-            v, mult = vals[i]
-            for u in range(0, min(left, mult) + 1):
-                stack.append((i + 1, left - u, chosen + ((v, u),)))
+# -- multiplying m-basis term dicts by one p_k ----------------------------------
 
 
 def _times_power(terms: Mapping[Partition, Coeff], k: int, size: int, out: dict) -> None:
@@ -313,21 +274,17 @@ def kostka_number(shape: Partition, content: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _s_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    out = []
-    for mu in enumerate_partitions(lam.n):
-        k = kostka_number(lam, mu)
-        if k:
-            out.append((mu, k))
-    return tuple(sorted(out, reverse=True))
+    return tuple((mu, k) for mu in enumerate_partitions(lam.n) if (k := kostka_number(lam, mu)))
 
 
-# -- power sums into the e and s bases, on integer keys ---------------------
+# -- between p and e, and from p into s, on integer keys ---------------------
 #
-# The e keys are packed multiplicity integers, so a product of two terms is
-# one integer addition.  The s keys are beta-sets with one bead per row,
-# bitmasks with the bead of row i = 0..l-1 at bit lam_i - i + l - 1, so a
-# shape has the same key at every degree and the empty shape is 0; adding a
-# k-strip moves one bead k places up (the abacus form of
+# The e and p keys are packed multiplicity integers (the multiplicity of
+# part j takes the ``width`` bits at offset j * width), so a product of two
+# terms is one integer addition.  The s keys are beta-sets with one bead per
+# row, bitmasks with the bead of row i = 0..l-1 at bit lam_i - i + l - 1, so
+# a shape has the same key at every degree and the empty shape is 0; adding
+# a k-strip moves one bead k places up (the abacus form of
 # Murnaghan-Nakayama).  The keys of a result become Partitions only at the
 # end, each through a memo.
 
@@ -335,8 +292,7 @@ def _s_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
 # Kept: tree-expand's 21 trees, in e and s, read it 2,133 times for 16 misses.
 @lru_cache(maxsize=None)
 def _power_in_e(k: int, width: int) -> tuple[tuple[int, int], ...]:
-    """p_k in the e basis, with packed keys (the multiplicity of part j
-    takes the ``width`` bits at offset j * width) in descending order, by
+    """p_k in the e basis, with packed keys in descending order, by
     Newton's identity over the memoised rows of smaller k:
     p_k = sum over i < k of (-1)^(i - 1) e_i p_(k - i), plus (-1)^(k - 1) k e_k."""
     out = {1 << width * k: k if k % 2 else -k}
@@ -349,12 +305,28 @@ def _power_in_e(k: int, width: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items(), reverse=True))
 
 
-def _times_newton(terms: Mapping[int, Coeff], k: int, width: int, out: dict) -> None:
-    """Add the packed e-terms times p_k, in Newton's expansion, into ``out``."""
-    power = _power_in_e(k, width)
+@lru_cache(maxsize=None)
+def _elementary_in_p(k: int, width: int) -> tuple[tuple[int, Coeff], ...]:
+    """e_k in the p basis, with packed keys in descending order, by
+    Newton's identity over the memoised rows of smaller k:
+    k e_k = sum over i < k of (-1)^(i - 1) p_i e_(k - i), plus (-1)^(k - 1) p_k."""
+    out = {1 << width * k: 1 if k % 2 else -1}
+    get = out.get
+    for i in range(1, k):
+        p_i = 1 << width * i
+        for key, c in _elementary_in_p(k - i, width):
+            key += p_i
+            out[key] = get(key, 0) + (c if i % 2 else -c)
+    return tuple(sorted(((key, _exact_div(c, k)) for key, c in out.items()), reverse=True))
+
+
+def _times_packed(table, terms: Mapping[int, Coeff], k: int, width: int, out: dict) -> None:
+    """Add the packed terms times the k-th generator, whose packed row in
+    the terms' basis is ``table(k, width)``, into ``out``."""
+    row = table(k, width)
     get = out.get
     for lam, c in terms.items():
-        for nu, d in power:
+        for nu, d in row:
             key = lam + nu
             out[key] = get(key, 0) + c * d
 
@@ -362,7 +334,7 @@ def _times_newton(terms: Mapping[int, Coeff], k: int, width: int, out: dict) -> 
 # Kept: tree-expand's 21 trees, in e and s, read it 5,927 times for 542 misses.
 @lru_cache(maxsize=None)
 def _unpack(width: int, key: int) -> Partition:
-    """The Partition of a packed e key with ``width`` bits per field,
+    """The Partition of a packed e or p key with ``width`` bits per field,
     peeled from its top field down, so the parts come out in decreasing
     order."""
     parts: list = []
@@ -430,14 +402,14 @@ def _times_strips(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> N
 # Only the step differs from one pair of bases to the next: step(terms, k,
 # size, out) adds the target-basis terms times the k-th generator into
 # out.  ``size`` is what the target's keys need beyond themselves, and all
-# that a row depends on beyond its index: the field width of packed e keys
+# that a row depends on beyond its index: the field width of packed keys
 # (bits per part multiplicity), and 0 for s and m.
 
 _STEPS = {
-    ("p", "e"): _times_newton,
+    ("p", "e"): partial(_times_packed, _power_in_e),
+    ("e", "p"): partial(_times_packed, _elementary_in_p),
     ("p", "s"): _times_strips,
     ("p", "m"): _times_power,
-    ("e", "m"): _times_elementary,
 }
 
 
@@ -483,15 +455,17 @@ def _horner(pair: tuple[str, str], size: int, terms: Mapping[tuple, Coeff]) -> d
     return convert(0, len(items), 0)
 
 
-def _from_p(f: SymFunc, target: str) -> tuple:
-    """The power-sum function f in the e or s basis, packed: (target,
-    degree, its one layer of integer-keyed terms, the key's decoder)."""
+def _horner_packed(f: SymFunc, target: str) -> tuple:
+    """f by Horner's rule in the target basis, from p into e or s or from e
+    into p, packed: (target, degree, its one layer of integer-keyed terms,
+    the key's decoder)."""
+    pair = (f.basis, target)
     if target == "s":
-        return "s", f.degree, (_horner(("p", "s"), 0, f.terms),), _beads_shape
+        return "s", f.degree, (_horner(pair, 0, f.terms),), _beads_shape
     # Bits per part multiplicity: a byte, unless a multiplicity could
     # overflow it.
     width = max(8, f.degree.bit_length())
-    return "e", f.degree, (_horner(("p", "e"), width, f.terms),), partial(_unpack, width)
+    return target, f.degree, (_horner(pair, width, f.terms),), partial(_unpack, width)
 
 
 # -- packed results ------------------------------------------------------------
@@ -522,64 +496,64 @@ def _packed_min(basis: str, degree: int, layers, decode) -> tuple[Partition, Coe
 
 
 def _to_m(f: SymFunc) -> SymFunc:
-    """f in the m basis: by Horner's rule from e and p, and term by term
-    through Kostka numbers from s, which is not multiplicative."""
-    if f.basis in ("e", "p"):
-        return SymFunc("m", f.degree, _horner((f.basis, "m"), 0, f.terms))
+    """f in the m basis: term by term through Kostka numbers from s, which
+    is not multiplicative, and otherwise by Horner's rule out of p."""
     if f.basis == "m":
         return f
-    out: dict[Partition, Coeff] = {}
-    for lam, c in f.terms.items():
-        for mu, d in _s_to_m_terms(lam):
-            out[mu] = out.get(mu, 0) + c * d
-    return SymFunc("m", f.degree, out)
+    if f.basis == "s":
+        out: dict[Partition, Coeff] = {}
+        for lam, c in f.terms.items():
+            for mu, d in _s_to_m_terms(lam):
+                out[mu] = out.get(mu, 0) + c * d
+        return SymFunc("m", f.degree, out)
+    return SymFunc("m", f.degree, _horner(("p", "m"), 0, _to_p(f).terms))
 
 
-def _peel_from_m(fm: SymFunc, target: str) -> SymFunc:
-    """Express an m-basis function in the target basis by triangular peeling.
-
-    For e and s the pivot expansion's reverse-lexicographically greatest
-    monomial term is the residual's greatest term with a unit diagonal
-    (conjugate pivot for e); for p the pivot expansion's least term is the
-    residual's least term.  Any failure to cancel means the triangularity
-    assumption was violated, which indicates a bug, and raises
-    SingularSystem rather than returning a wrong answer.
-    """
-    take_greatest = target in ("e", "s")
+def _peel_from_m(fm: SymFunc) -> SymFunc:
+    """An m-basis function in the p basis, by triangular peeling: p_lam in m
+    is a multiple of m_lam plus the monomials of coarser partitions, which
+    are reverse-lexicographically greater, so the residual's least term is
+    peeled by its p row.  A row that misses its diagonal, or a peel that
+    does not move up, is a bug and raises SingularSystem rather than
+    returning a wrong answer."""
     residual: dict[Partition, Coeff] = fm.terms.copy()
     out: dict[Partition, Coeff] = {}
     prev: Partition | None = None
     while residual:
-        lead = max(residual) if take_greatest else min(residual)
-        if prev is not None and not (lead < prev if take_greatest else lead > prev):
+        lead = min(residual)
+        if prev is not None and lead <= prev:
             raise SingularSystem(f"peeling did not make progress at {tuple(lead)}")
         prev = lead
-        pivot = lead.conjugate() if target == "e" else lead
-        exp = _s_to_m_terms(pivot) if target == "s" else _row((target, "m"), 0, pivot)
-        diag = dict(exp).get(lead, 0)
+        row = _row(("p", "m"), 0, lead)
+        diag = dict(row).get(lead, 0)
         if not diag:
-            raise SingularSystem(
-                f"pivot {tuple(pivot)} does not reach the leading term {tuple(lead)}"
-            )
-        coeff = _exact_div(residual[lead], diag)
-        out[pivot] = out.get(pivot, 0) + coeff
-        for mu, d in exp:
+            raise SingularSystem(f"pivot {tuple(lead)} does not reach its own monomial")
+        coeff = out[lead] = _exact_div(residual[lead], diag)
+        for mu, d in row:
             val = residual.get(mu, 0) - coeff * d
             if val:
                 residual[mu] = val
             else:
                 residual.pop(mu, None)
-        if lead in residual:
-            raise SingularSystem(f"leading term {tuple(lead)} failed to cancel")
-    return SymFunc(target, fm.degree, out)
+    return SymFunc("p", fm.degree, out)
+
+
+def _to_p(f: SymFunc) -> SymFunc:
+    """f in the hub basis p: by Horner's rule from e, and by peeling from
+    m, which s reaches through the Kostka table."""
+    if f.basis == "p":
+        return f
+    if f.basis == "e":
+        return _decoded(*_horner_packed(f, "p"))
+    return _peel_from_m(_to_m(f))
 
 
 def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
-    """Rewrite f in the target basis, exactly.
+    """Rewrite f in the target basis, exactly, through the hub basis p.
 
-    p->e, p->s, p->m and e->m run Horner's rule over f's parts.  s->m goes
-    term by term through Kostka numbers, and every other pair goes through
-    m and, unless m is the target, triangular peeling from there.  Refuses
+    Into p: from e by Horner's rule over f's parts (Newton's identity), from
+    m by triangular peeling, and from s through m by Kostka numbers.  Out
+    of p: to e, s and m by Horner's rule.  s->m alone stops at m.  Refuses
     degrees above ``cap``: the number of partitions, and with it the
     implicit transition system, grows too fast for a full expansion to be
     a sensible default there.
@@ -590,12 +564,10 @@ def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymF
         raise TooLarge(f"degree {f.degree} exceeds the basis-change cap {cap}")
     if target == f.basis:
         return f
-    if f.basis == "p" and target in ("e", "s"):
-        return _decoded(*_from_p(f, target))
-    fm = _to_m(f)
     if target == "m":
-        return fm
-    return _peel_from_m(fm, target)
+        return _to_m(f)
+    p = _to_p(f)
+    return p if target == "p" else _decoded(*_horner_packed(p, target))
 
 
 # -- evaluation --------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 import cslab.positivity
+import cslab.symfunc
 
 
 @pytest.fixture
@@ -18,3 +19,20 @@ def lying_screener(monkeypatch):
         return trace
 
     monkeypatch.setattr(cslab.positivity, "screen_spider", screen)
+
+
+@pytest.fixture
+def rows_without_diagonal(monkeypatch):
+    """Strip every basis element's own key from its conversion row, so that
+    the m->p peel meets a pivot row that misses its diagonal.  The rows
+    memo is cleared on both sides, since rows built meanwhile read stripped
+    ones."""
+    row = cslab.symfunc._row
+
+    def stripped(pair, size, mu):
+        return tuple((key, c) for key, c in row(pair, size, mu) if key != mu)
+
+    row.cache_clear()
+    monkeypatch.setattr(cslab.symfunc, "_row", stripped)
+    yield
+    row.cache_clear()

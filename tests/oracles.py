@@ -9,6 +9,8 @@ the same formula evaluated twice.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -371,25 +373,60 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
+def _parts(left: int, cap: int):
+    """The partitions of ``left`` with parts at most ``cap``, as tuples in
+    reverse-lexicographic descending order."""
+    if not left:
+        yield ()
+    for first in range(min(left, cap), 0, -1):
+        for rest in _parts(left - first, first):
+            yield (first,) + rest
+
+
 def newton_power_in_e(k: int) -> list:
     """p_k in the e basis by its closed form: the coefficient of e_lam, for
     lam a partition of k, is (-1)^(k - l) k (l - 1)! / prod_i m_i(lam)!,
     with l the length of lam and m_i its part multiplicities.  Returns
     (lam, coefficient) pairs, lam in reverse-lexicographic descending order."""
-
-    def parts(left, cap):
-        if not left:
-            yield ()
-        for first in range(min(left, cap), 0, -1):
-            for rest in parts(left - first, first):
-                yield (first,) + rest
-
     out = []
-    for lam in parts(k, k):
+    for lam in _parts(k, k):
         ell = len(lam)
         coeff = k * factorial(ell - 1) // prod(factorial(lam.count(part)) for part in set(lam))
         out.append((lam, (-1) ** (k - ell) * coeff))
     return out
+
+
+@lru_cache(maxsize=None)
+def elementary_in_power(k: int) -> dict:
+    """e_k in the p basis by its closed form: the sum over partitions lam
+    of k of (-1)^(k - l) p_lam / z_lam, with l the length of lam and
+    z_lam = prod_i i^(m_i) m_i! the size of the centraliser of a
+    permutation of cycle type lam.  Returns {lam: Fraction}; callers must
+    not change it, since it is memoised."""
+    out = {}
+    for lam in _parts(k, k):
+        z = prod(part ** lam.count(part) * factorial(lam.count(part)) for part in set(lam))
+        out[lam] = Fraction((-1) ** (k - len(lam)), z)
+    return out
+
+
+def e_terms_in_power(terms: dict) -> dict:
+    """An e-basis function, given as {lam: coefficient}, in the p basis:
+    each e_lam multiplied out part by part from ``elementary_in_power``,
+    where a product of power sums concatenates their indices."""
+    out: dict = {}
+    for lam, c in terms.items():
+        block = {(): c}
+        for part in lam:
+            grown: dict = {}
+            for mu, a in block.items():
+                for nu, b in elementary_in_power(part).items():
+                    key = tuple(sorted(mu + nu, reverse=True))
+                    grown[key] = grown.get(key, 0) + a * b
+            block = grown
+        for mu, a in block.items():
+            out[mu] = out.get(mu, 0) + a
+    return {mu: c for mu, c in out.items() if c}
 
 
 def brute_representable(k: int, n: int) -> bool:

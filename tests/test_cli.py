@@ -262,6 +262,14 @@ class TestPositivityVerb:
         assert out == ""
         assert "internal contradiction" in err
 
+    def test_singular_peel_exits_four(self, capsys, rows_without_diagonal):
+        code, out, err = run_cli(
+            ["csf", "--graph", "cycle:5", "--route", "stable-m", "--basis", "e"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "internal contradiction" in err
+
     def test_closed_stdout_exits_141_quietly(self):
         # The read end is closed before the child starts, so its first write
         # fails with EPIPE whatever the timing.

@@ -254,6 +254,15 @@ class TestRouteAgreement:
         assert tree.route == "tree-p"
         assert tree.value == compute_csf(path, "family-recurrence", "m", cap=26).value
 
+    @pytest.mark.parametrize("spec", ["path:26", "spider:12,8,5", "dbroom:2,21,2"])
+    def test_recurrence_meets_tree_dp_in_p_past_24_edges(self, spec):
+        # In p the two share no step: the recurrence's e-terms go into p by
+        # Newton's identity, and tree-p needs no conversion.
+        G = parse_graph_spec(spec)
+        assert G.n == 26
+        recurrence = compute_csf(G, "family-recurrence", "p", cap=26)
+        assert recurrence.value == compute_csf(G, "tree-p", "p", cap=26).value
+
     def test_unknown_route_is_rejected(self):
         with pytest.raises(BadSpec):
             compute_csf(build_family("claw"), route="magic")

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from oracles import (
     brute_border_strips,
     brute_kostka,
+    e_terms_in_power,
+    elementary_in_power,
     expand_symfunc,
     falling_factorial,
     newton_power_in_e,
@@ -29,6 +31,7 @@ from cslab import (
     DegreeMismatch,
     EmptyFunction,
     Partition,
+    SingularSystem,
     SymFunc,
     TooLarge,
     change_basis,
@@ -43,8 +46,8 @@ from cslab.symfunc import (
     BASES,
     _add_strips,
     _beads_shape,
+    _elementary_in_p,
     _json_text,
-    _peel_from_m,
     _power_in_e,
     _to_m,
     _unpack,
@@ -244,7 +247,8 @@ class TestPowerSumConversions:
             row_pairs.clear()
             change_basis(f, "m")
             assert _kostka_lookups() == before
-            assert set(row_pairs) == {(f.basis, "m")}
+            # e reaches m through the hub p.
+            assert set(row_pairs) == ({("p", "m")} if f.basis == "p" else {("e", "p"), ("p", "m")})
 
     @pytest.mark.parametrize("target", ["e", "s"])
     def test_constant_term(self, target):
@@ -271,7 +275,9 @@ class TestPowerSumConversions:
         )
         g = change_basis(f, target)
         assert polys_equal(f, g, 4)
-        assert g == _peel_from_m(_to_m(f), target)
+        if target == "s":
+            # Back to m through the Kostka table, which no p->s step reads.
+            assert _to_m(g) == _to_m(f)
         assert any(isinstance(c, Fraction) for c in g.terms.values())
 
     @pytest.mark.parametrize("n", [255, 300])
@@ -329,18 +335,27 @@ class TestBorderStrips:
 
     def test_rows_are_shared_across_degrees(self):
         # A beta-set means the same shape at every degree, so one memoised
-        # row serves them all; both orders must agree with peeling from m.
+        # row serves them all; both orders must agree with the Kostka
+        # table, and with the polynomials where the degree allows.
         functions = [
             SymFunc.single("p", mu, 1) for n in range(0, 9) for mu in enumerate_partitions(n)
         ]
         for f in functions + functions[::-1]:
-            assert change_basis(f, "s") == _peel_from_m(_to_m(f), "s"), f
+            g = change_basis(f, "s")
+            assert _to_m(g) == _to_m(f), f
+            assert f.degree > 6 or polys_equal(f, g, f.degree), f
         # p_(2,1)'s row is the tail of p_(3,2,1)'s, read at a lower degree.
         symfunc._row.cache_clear()
         change_basis(SymFunc.single("p", (3, 2, 1)), "s")
         misses = symfunc._row.cache_info().misses
         change_basis(SymFunc.single("p", (2, 1)), "s")
         assert symfunc._row.cache_info().misses == misses
+
+
+def test_peel_into_p_refuses_a_row_without_its_diagonal(rows_without_diagonal):
+    f = SymFunc("m", 4, {Partition((2, 1, 1)): 2, Partition((3, 1)): -1})
+    with pytest.raises(SingularSystem, match="does not reach its own monomial"):
+        change_basis(f, "p")
 
 
 class TestSpecializeOnes:
@@ -526,17 +541,33 @@ def test_property_conversion_preserves_restriction(degree_terms, basis):
 def test_property_power_sums_convert_like_peeling_from_m(degree_terms, target):
     # Degree 9 is the least in which two terms, (3, 2, 2, 2) and
     # (3, 2, 2, 1, 1), share three leading parts that are not all equal.
+    # Each check reads none of the tables of the step it checks: e goes
+    # back into p by the oracle's e_k, s into m by the Kostka table.
     f = SymFunc("p", *degree_terms)
-    assert change_basis(f, target) == _peel_from_m(_to_m(f), target)
+    g = change_basis(f, target)
+    assert f.degree > 6 or polys_equal(f, g, f.degree)
+    if target == "e":
+        assert e_terms_in_power(g.terms) == f.terms
+    else:
+        assert _to_m(g) == _to_m(f)
 
 
 @pytest.mark.parametrize("width", [8, 9])
 @pytest.mark.parametrize("k", range(1, 11))
 def test_newton_table_matches_peeling_from_m(k, width):
-    # The packed table of p_k in e against a route that never reads it:
-    # p_k in m by Horner's rule, then peeled into e through e->m rows.
+    # The packed table of p_k in e against routes that never read it: the
+    # polynomials where the degree allows, and e_k's closed form in p.
     table = {_unpack(width, key): c for key, c in _power_in_e(k, width)}
-    assert table == _peel_from_m(_to_m(SymFunc.single("p", (k,))), "e").terms
+    assert k > 6 or polys_equal(SymFunc("e", k, table), SymFunc.single("p", (k,)), k)
+    assert e_terms_in_power(table) == {(k,): 1}
+
+
+@pytest.mark.parametrize("width", [8, 9])
+@pytest.mark.parametrize("k", range(1, 17))
+def test_elementary_table_matches_closed_form(k, width):
+    # e_k in p by Newton's identity against sum of (-1)^(k - l) p_lam / z_lam.
+    table = {_unpack(width, key): c for key, c in _elementary_in_p(k, width)}
+    assert table == elementary_in_power(k)
 
 
 @pytest.mark.parametrize("width", [8, 9])
