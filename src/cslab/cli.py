@@ -32,7 +32,7 @@ import os
 import re
 import sys
 
-from .csf import ROUTES, compute_csf, extract_coefficient
+from .csf import ROUTES, compute_csf
 from .errors import DegreeMismatch, InternalContradiction, TooLarge
 from .graphs import parse_graph_spec
 from .partitions import parse_partition
@@ -218,8 +218,7 @@ def _cmd_coeff(args) -> int:
     lam = parse_partition(args.partition)
     if lam.n != G.n:
         raise DegreeMismatch(f"partition sums to {lam.n} but the function has degree {G.n}")
-    f = compute_csf(G, args.route, args.basis, cap=cap).value
-    value = extract_coefficient(f, args.basis, lam)
+    value = compute_csf(G, args.route, args.basis, cap=cap).coefficient(lam)
     _print_json({
         "graph": args.graph,
         "basis": args.basis,

@@ -9,17 +9,18 @@ ways, which deliberately share no code path:
 - edge-p: signed sum over edge subsets of the power sum indexed by the
   component sizes (Stanley's formula), enumerating the subsets;
 - tree-p: the same power-sum formula on forests, by a dynamic programme on
-  each rooted component.  A state is one integer, packed like p->e terms:
-  the multiplicity of closed size k in the ``width`` bits at offset
-  width * k, and the root's open size in a top field above every part, so
-  keeping an edge adds two keys.  It shares no code with edge-p (neither
-  its subset loop nor its union-find) or with the recurrences;
+  each rooted component.  A state is one integer keyed like p->e terms
+  (``symfunc._places``): closed size k counts in the digit at B[k] of n's
+  tier, the root's open size in the digit at B[n + 1] above every part, so
+  keeping an edge adds two keys and closing one is a divmod.  Beyond that
+  key format, it shares no code with edge-p (neither its subset loop nor
+  its union-find) or with the recurrences;
 - family-recurrence: closed recurrences in the elementary basis for paths,
   three-leg spiders, and the two-leaf odd double brooms, which stay sparse
   far beyond where full expansions are feasible.  They key their terms by
-  mixed-radix integers, one digit per part multiplicity with radixes
-  sized to the degree (tiers of 64 and 255 vertices), so a product of two
-  terms is one integer addition, over one bottom-up memo of the path
+  the same mixed-radix integers, one digit per part multiplicity with
+  radixes sized to the degree (tiers of 64 and 255 vertices), so a product
+  of two terms is one integer addition, over one bottom-up memo of the path
   series per tier, in layers by the number of parts 1, so that e_1 times
   a layer is the next layer.  A key is decoded into its Partition from
   its own digits: every key when a SymFunc is wanted, only the keys
@@ -42,7 +43,6 @@ the monomial basis.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache, partial
 from math import factorial
 from operator import add
@@ -65,11 +65,15 @@ from .symfunc import (
     DEFAULT_DEGREE_CAP,
     Coeff,
     SymFunc,
+    _TIER_SIZES,
+    _decode,
     _decoded,
     _horner_packed,
+    _packed_coefficient,
     _packed_min,
+    _places,
+    _tier_size,
     _to_p,
-    _unpack,
     change_basis,
 )
 
@@ -80,10 +84,10 @@ class CsfResult:
     """A computed CSF together with the route that produced it.
 
     A family recurrence, or a conversion out of p, may hand over
-    ``packed`` (basis, degree, integer-keyed layers and the decoder of one
-    key; see ``symfunc._decoded``) instead of a SymFunc: ``value`` then
-    decodes every key on first read, while ``min_coefficient`` decodes
-    only the keys that hold the minimum.
+    ``packed`` (basis, degree, integer-keyed layers and their key tier; see
+    ``symfunc._decoded``) instead of a SymFunc: ``value`` then decodes every
+    key on first read, while ``min_coefficient`` decodes only the keys that
+    hold the minimum, and ``coefficient`` decodes none.
     """
 
     def __init__(self, graph: Graph, route: str, value: SymFunc | None = None, packed=None):
@@ -105,6 +109,13 @@ class CsfResult:
         if self._value is None:
             return _packed_min(*self._packed)
         return self._value.min_coefficient()
+
+    def coefficient(self, lam) -> Coeff:
+        """``value.coefficient(lam)``, without building ``value``."""
+        lam = lam if isinstance(lam, Partition) else Partition(lam)
+        if self._value is None:
+            return _packed_coefficient(*self._packed, lam)
+        return self._value.coefficient(lam)
 
 
 # -- base routes --------------------------------------------------------------
@@ -138,21 +149,21 @@ def csf_via_edge_subsets(G: Graph) -> SymFunc:
     )
 
 
-def _closed(key: int, top: int, width: int) -> int:
+def _closed(key: int, top: int, places: list) -> int:
     """Close the open component of a packed state: its size moves from the
-    top field into the multiplicity field of that part."""
-    size = key >> top
-    return key - (size << top) + (1 << width * size)
+    top digit into the multiplicity digit of that part."""
+    size, closed = divmod(key, top)
+    return closed + places[size]
 
 
-def _join(table: dict, child: dict, top: int, width: int) -> dict:
+def _join(table: dict, child: dict, top: int, places: list) -> dict:
     """Attach a child's table to its parent's across their edge.  Keeping
     the edge adds the two keys (open sizes and closed parts alike) and
     flips the sign; cutting it adds the child's closed key."""
     moves: dict = {}
     for key, y in child.items():
         moves[key] = -y
-        cut = _closed(key, top, width)
+        cut = _closed(key, top, places)
         moves[cut] = moves.get(cut, 0) + y
     out: dict = {}
     get = out.get
@@ -163,7 +174,7 @@ def _join(table: dict, child: dict, top: int, width: int) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _rooted_table(root: int, masks: tuple, top: int, width: int) -> dict:
+def _rooted_table(root: int, masks: tuple, top: int, places: list) -> dict:
     """DP table of the tree containing ``root``: packed state -> signed
     count (the state packing is described in the module docstring)."""
     order = [root]
@@ -181,13 +192,13 @@ def _rooted_table(root: int, masks: tuple, top: int, width: int) -> dict:
         order.extend(kids)
     tables: dict = {}
     for v in reversed(order):
-        table = {1 << top: 1}
+        table = {top: 1}
         # Leaves (one state) first, while the table is still small, then
         # the other children, largest table first: on the census double
         # brooms this cuts the pair products of the joins by two fifths.
         kids = sorted((tables.pop(c) for c in children[v]), key=lambda t: (len(t) > 1, -len(t)))
         for child in kids:
-            table = _join(table, child, top, width)
+            table = _join(table, child, top, places)
         tables[v] = table
     return tables[root]
 
@@ -205,51 +216,46 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
             f"({G.n} vertices, {m} edges)"
         )
     masks = _adjacency_masks(G)
-    width = max(8, G.n.bit_length())
-    top = width * (G.n + 1)
+    size = _tier_size(G.n)
+    places = _places(size)
+    top = places[G.n + 1]
     total: dict = {0: 1}
     for component in components:
         # Rooted at a leg tip, the DP would copy the hub's table down the leg.
         root = max(component, key=lambda v: masks[v].bit_count())
-        table = _rooted_table(root, masks, top, width)
+        table = _rooted_table(root, masks, top, places)
         product: dict = {}
         for kx, x in total.items():
             for ky, y in table.items():
-                key = kx + _closed(ky, top, width)
+                key = kx + _closed(ky, top, places)
                 product[key] = product.get(key, 0) + x * y
         total = product
-    return SymFunc("p", G.n, {_unpack(width, key): c for key, c in total.items() if c})
+    return SymFunc("p", G.n, {_decode(size, key): c for key, c in total.items() if c})
 
 
 # -- path recurrence ----------------------------------------------------------
 #
-# The family recurrences key their terms by mixed-radix integers.  For
-# results of degree at most N, the multiplicity of part k (at most N // k)
-# is the digit of radix N // k + 1 at place B[k] = prod_{j<k} (N // j + 1),
-# so no digit carries and the key of e_lam e_mu is key(lam) + key(mu).  The
-# outermost call picks N (64 or 255) from the result's degree for every term
-# it builds.  A key decodes from its top digit down, already in Partition's order.
-# Layer j of a result maps the key of each partition with no part 1 to the
-# coefficient of that partition plus j ones, whose key is j more (B[1] = 1).
-# A path term has at most one part 1, a spider term two, a broom term three.
+# The family recurrences key their terms by the mixed-radix integers of
+# ``symfunc``'s packed keys.  The outermost call picks the tier (64 or 255)
+# from the result's degree for every term it builds.  Layer j of a result
+# maps the key of each partition with no part 1 to the coefficient of that
+# partition plus j ones, whose key is j more (B[1] = 1).  A path term has
+# at most one part 1, a spider term two, a broom term three.
 
 
 class _Tier:
-    """Place values ``places[k]`` = B[k] of the keys of degree at most
-    ``size`` (``places[0]`` = 0, ``places[size + 1]`` exceeds every key),
+    """The place values ``places`` of the keys of degree at most ``size``,
     and the two layers of X(P_m): ``cores[m]`` maps every partition of m
     with no part 1 (all are terms, by Wolfe's formula) to its coefficient,
     ``ones[m]`` lists layer 1's coefficients in ``cores[m - 1]``'s key
     order.  Filled bottom-up and never handed out: callers copy them."""
 
     def __init__(self, size: int):
-        self.size, self.places = size, [0, 1]
+        self.size, self.places = size, _places(size)
         self.cores, self.ones = {0: {0: 1}}, {0: []}
-        for k in range(1, size + 1):
-            self.places.append(self.places[-1] * (size // k + 1))
 
 
-_TIERS = (_Tier(64), _Tier(255))
+_TIERS = tuple(map(_Tier, _TIER_SIZES))
 
 
 def _tier(n: int) -> _Tier:
@@ -283,22 +289,10 @@ def _path_terms(n: int, tier: _Tier) -> tuple[dict, dict]:
     return cores, ones
 
 
-def _decode(key: int, n: int) -> Partition:
-    """The Partition of a packed key of a degree-n result, peeled from its
-    top digit down, so the parts come out in decreasing order."""
-    places = _tier(n).places
-    parts: list = []
-    while key:
-        part = bisect_right(places, key) - 1
-        count, key = divmod(key, places[part])
-        parts += [part] * count
-    return Partition._unchecked(parts)
-
-
 def _packed_e(n: int, layers) -> tuple:
     """A recurrence's degree-n e-layers as a packed result (see
-    ``symfunc._decoded``), each key decoded by ``_decode``."""
-    return "e", n, layers, partial(_decode, n=n)
+    ``symfunc._decoded``), keyed in the tier of n."""
+    return "e", n, layers, _tier(n).size
 
 
 def _path_packed(n: int) -> tuple[int, tuple]:

@@ -54,11 +54,14 @@ class Partition(tuple):
     _unchecked = classmethod(tuple.__new__)
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        pts = tuple(map(int, parts))
-        # One check in C passes every valid tuple; the scan only runs to
-        # name the first offending part.
-        if pts and (pts[-1] <= 0 or list(pts) != sorted(pts, reverse=True)):
+        pts = tuple(parts)
+        # Checks in C pass every valid tuple; the scan only runs to name
+        # the first offending part.
+        if pts and ({*map(type, pts)} != {int} or pts[-1] <= 0
+                    or list(pts) != sorted(pts, reverse=True)):
             for i, p in enumerate(pts):
+                if type(p) is not int:
+                    raise ValueError(f"partition parts must be ints, got {p!r} in {pts}")
                 if p <= 0:
                     raise ValueError(f"partition parts must be positive, got {pts}")
                 if i and pts[i - 1] < p:

@@ -27,6 +27,7 @@ multiplicative, and s reaches p through m.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from functools import lru_cache, partial
 from itertools import chain, repeat
@@ -279,71 +280,94 @@ def _s_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
 
 # -- between p and e, and from p into s, on integer keys ---------------------
 #
-# The e and p keys are packed multiplicity integers (the multiplicity of
-# part j takes the ``width`` bits at offset j * width), so a product of two
-# terms is one integer addition.  The s keys are beta-sets with one bead per
-# row, bitmasks with the bead of row i = 0..l-1 at bit lam_i - i + l - 1, so
-# a shape has the same key at every degree and the empty shape is 0; adding
-# a k-strip moves one bead k places up (the abacus form of
-# Murnaghan-Nakayama).  The keys of a result become Partitions only at the
-# end, each through a memo.
+# The e and p keys, in tree-p, the conversions and the family recurrences
+# of ``cslab.csf`` alike, are mixed-radix integers: in tier N (64, else
+# 255, else the degree itself) the multiplicity of part k, at most N // k,
+# is the digit of radix N // k + 1 at place B[k] = prod_{j<k} (N // j + 1).
+# No digit carries, so a product of two terms is one integer addition, and
+# descending keys are reverse-lexicographic order.  The s keys are beta-sets
+# with one bead per row, bitmasks with the bead of row i = 0..l-1 at bit
+# lam_i - i + l - 1, so a shape has the same key at every degree and the
+# empty shape is 0; adding a k-strip moves one bead k places up (the abacus
+# form of Murnaghan-Nakayama).  The keys of a result become Partitions only
+# at the end, each through a memo.
+
+_TIER_SIZES = (64, 255)
+
+
+def _tier_size(n: int) -> int:
+    """N for the keys of degree n: the smallest tier that holds n, else n."""
+    return next((size for size in _TIER_SIZES if n <= size), n)
+
+
+@lru_cache(maxsize=None)
+def _places(size: int) -> list:
+    """The place values B[0..size + 1] of tier ``size``: B[0] = 0, and
+    B[size + 1] exceeds every key of degree at most size."""
+    places = [0, 1]
+    for k in range(1, size + 1):
+        places.append(places[-1] * (size // k + 1))
+    return places
+
+
+# Kept: tree-expand's 21 trees, in e and s, read it 5,927 times for 542
+# misses.  Bounded, since decoding a whole recurrence misses on every key:
+# spider:30,15,8's 146,212 took 0.63 s so, and 0.85 s with no bound.
+@lru_cache(maxsize=1 << 13)
+def _decode(size: int, key: int) -> Partition:
+    """The Partition of a key of tier ``size``, peeled from its top digit
+    down, so the parts come out in decreasing order."""
+    places = _places(size)
+    parts: list = []
+    while key:
+        part = bisect_right(places, key) - 1
+        count, key = divmod(key, places[part])
+        parts += [part] * count
+    return Partition._unchecked(parts)
 
 
 # Kept: tree-expand's 21 trees, in e and s, read it 2,133 times for 16 misses.
 @lru_cache(maxsize=None)
-def _power_in_e(k: int, width: int) -> tuple[tuple[int, int], ...]:
-    """p_k in the e basis, with packed keys in descending order, by
+def _power_in_e(k: int, size: int) -> tuple[tuple[int, int], ...]:
+    """p_k in the e basis, keyed in tier ``size``, in descending order, by
     Newton's identity over the memoised rows of smaller k:
     p_k = sum over i < k of (-1)^(i - 1) e_i p_(k - i), plus (-1)^(k - 1) k e_k."""
-    out = {1 << width * k: k if k % 2 else -k}
+    places = _places(size)
+    out = {places[k]: k if k % 2 else -k}
     get = out.get
     for i in range(1, k):
-        e_i = 1 << width * i
-        for key, c in _power_in_e(k - i, width):
+        e_i = places[i]
+        for key, c in _power_in_e(k - i, size):
             key += e_i
             out[key] = get(key, 0) + (c if i % 2 else -c)
     return tuple(sorted(out.items(), reverse=True))
 
 
 @lru_cache(maxsize=None)
-def _elementary_in_p(k: int, width: int) -> tuple[tuple[int, Coeff], ...]:
-    """e_k in the p basis, with packed keys in descending order, by
+def _elementary_in_p(k: int, size: int) -> tuple[tuple[int, Coeff], ...]:
+    """e_k in the p basis, keyed in tier ``size``, in descending order, by
     Newton's identity over the memoised rows of smaller k:
     k e_k = sum over i < k of (-1)^(i - 1) p_i e_(k - i), plus (-1)^(k - 1) p_k."""
-    out = {1 << width * k: 1 if k % 2 else -1}
+    places = _places(size)
+    out = {places[k]: 1 if k % 2 else -1}
     get = out.get
     for i in range(1, k):
-        p_i = 1 << width * i
-        for key, c in _elementary_in_p(k - i, width):
+        p_i = places[i]
+        for key, c in _elementary_in_p(k - i, size):
             key += p_i
             out[key] = get(key, 0) + (c if i % 2 else -c)
     return tuple(sorted(((key, _exact_div(c, k)) for key, c in out.items()), reverse=True))
 
 
-def _times_packed(table, terms: Mapping[int, Coeff], k: int, width: int, out: dict) -> None:
+def _times_packed(table, terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> None:
     """Add the packed terms times the k-th generator, whose packed row in
-    the terms' basis is ``table(k, width)``, into ``out``."""
-    row = table(k, width)
+    the terms' basis is ``table(k, size)``, into ``out``."""
+    row = table(k, size)
     get = out.get
     for lam, c in terms.items():
         for nu, d in row:
             key = lam + nu
             out[key] = get(key, 0) + c * d
-
-
-# Kept: tree-expand's 21 trees, in e and s, read it 5,927 times for 542 misses.
-@lru_cache(maxsize=None)
-def _unpack(width: int, key: int) -> Partition:
-    """The Partition of a packed e or p key with ``width`` bits per field,
-    peeled from its top field down, so the parts come out in decreasing
-    order."""
-    parts: list = []
-    while key:
-        part = (key.bit_length() - 1) // width
-        count = key >> part * width
-        parts += [part] * count
-        key -= count << part * width
-    return Partition._unchecked(parts)
 
 
 # Kept: tree-expand's 21 trees, in e and s, read it 2,821 times for 499 misses.
@@ -402,8 +426,8 @@ def _times_strips(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> N
 # Only the step differs from one pair of bases to the next: step(terms, k,
 # size, out) adds the target-basis terms times the k-th generator into
 # out.  ``size`` is what the target's keys need beyond themselves, and all
-# that a row depends on beyond its index: the field width of packed keys
-# (bits per part multiplicity), and 0 for s and m.
+# that a row depends on beyond its index: the tier of packed keys, and 0
+# for s and m.
 
 _STEPS = {
     ("p", "e"): partial(_times_packed, _power_in_e),
@@ -457,39 +481,50 @@ def _horner(pair: tuple[str, str], size: int, terms: Mapping[tuple, Coeff]) -> d
 
 def _horner_packed(f: SymFunc, target: str) -> tuple:
     """f by Horner's rule in the target basis, from p into e or s or from e
-    into p, packed: (target, degree, its one layer of integer-keyed terms,
-    the key's decoder)."""
-    pair = (f.basis, target)
-    if target == "s":
-        return "s", f.degree, (_horner(pair, 0, f.terms),), _beads_shape
-    # Bits per part multiplicity: a byte, unless a multiplicity could
-    # overflow it.
-    width = max(8, f.degree.bit_length())
-    return target, f.degree, (_horner(pair, width, f.terms),), partial(_unpack, width)
+    into p, as a packed result with one layer."""
+    size = 0 if target == "s" else _tier_size(f.degree)
+    return target, f.degree, (_horner((f.basis, target), size, f.terms),), size
 
 
 # -- packed results ------------------------------------------------------------
 #
-# A packed result is (basis, degree, layers, decode): layer j maps integer
-# keys to coefficients, and the term of key k in layer j is decode(k + j).
-# Conversions out of p hand over one layer; the family recurrences of
-# ``cslab.csf`` hold one layer per number of parts 1, whose key adds 1.
-# Zero coefficients may stay in the layers.
+# A packed result is (basis, degree, layers, size): layer j maps integer
+# keys to coefficients, and the term of key k in layer j is the partition
+# of key k + j, a beta-set when ``size`` is 0 and a key of tier ``size``
+# otherwise.  Conversions out of p hand over one layer; the family
+# recurrences of ``cslab.csf`` hold one layer per number of parts 1, whose
+# key adds 1 (B[1] = 1), over keys with no part 1.  Zero coefficients may
+# stay in the layers.
 
 
-def _decoded(basis: str, degree: int, layers, decode) -> SymFunc:
+def _decoded(basis: str, degree: int, layers, size: int) -> SymFunc:
     """The SymFunc of a packed result, every nonzero key decoded."""
+    decode = partial(_decode, size) if size else _beads_shape
     return SymFunc(basis, degree, {decode(key + j): c for j, layer in enumerate(layers)
                                    for key, c in layer.items() if c})
 
 
-def _packed_min(basis: str, degree: int, layers, decode) -> tuple[Partition, Coeff]:
+def _packed_min(basis: str, degree: int, layers, size: int) -> tuple[Partition, Coeff]:
     """``_decoded(...).min_coefficient()``, decoding only the keys that hold
     the smallest nonzero coefficient, so ties break as there."""
     values = [layer.values() for layer in layers]
     low = min(map(min, filter(None, values)), default=0) or min(filter(None, chain(*values)), default=0)
+    decode = partial(_decode, size) if size else _beads_shape
     return SymFunc(basis, degree, {decode(key + j): c for j, layer in enumerate(layers)
                                    for key, c in layer.items() if c == low}).min_coefficient()
+
+
+def _packed_coefficient(basis: str, degree: int, layers, size: int, lam: Partition) -> Coeff:
+    """``_decoded(...).coefficient(lam)``, reading the one key that lam packs
+    to, in the layer of its number of parts 1, and decoding nothing."""
+    if lam.n != degree:
+        return 0
+    if size:
+        key = sum(map(_places(size).__getitem__, lam))
+    else:
+        key = sum(1 << part - i + len(lam) - 1 for i, part in enumerate(lam))
+    ones = min(lam.count(1), len(layers) - 1)
+    return layers[ones].get(key - ones, 0)
 
 
 # -- change of basis ---------------------------------------------------------

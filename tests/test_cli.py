@@ -173,6 +173,24 @@ class TestCoeffVerbs:
         assert code == 0
         assert json.loads(out)["coeff"] == "2"
 
+    @pytest.mark.parametrize("spec, basis, partition, coeff", [
+        ("spider:10,5,3", "e", "7,6,6", "-101"),
+        ("spider:10,5,3", "e", "6,6,4,3", "1233"),
+        ("spider:10,5,3", "e", "16,1,1,1", "0"),
+        ("dbroom:3,4,3", "e", "5,3,2,1", "-86"),
+        ("dbroom:3,4,3", "s", "6,4,1", "-7"),
+    ])
+    def test_coefficient_decodes_no_key(self, capsys, monkeypatch, spec, basis, partition, coeff):
+        def no_decoding(*key):
+            raise AssertionError(f"coeff decoded the key {key[-1]}")
+
+        monkeypatch.setattr("cslab.symfunc._decode", no_decoding)
+        monkeypatch.setattr("cslab.symfunc._beads_shape", no_decoding)
+        argv = ["coeff", "--graph", spec, "--basis", basis, "--partition", partition]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["coeff"] == coeff
+
     def test_wrong_size_partition_is_refused_before_expanding(self, capsys, monkeypatch):
         def no_expansion(*args, **kwargs):
             raise AssertionError("coeff expanded before checking the partition")

@@ -57,6 +57,7 @@ from cslab import (
 from cslab import csf as csf_module
 from cslab.csf import CsfResult
 from cslab.graphs import is_forest
+from cslab.symfunc import _decode, _packed_coefficient, _places
 
 
 @pytest.fixture
@@ -404,9 +405,9 @@ class TestTreeDp:
         work = [0]
         join = csf_module._join
 
-        def counted(table, child, top, width):
+        def counted(table, child, top, places):
             work[0] += len(table) * 2 * len(child)
-            return join(table, child, top, width)
+            return join(table, child, top, places)
 
         monkeypatch.setattr(csf_module, "_join", counted)
         for G in graphs:
@@ -694,7 +695,7 @@ class TestPackedRecurrences:
             for m in range(41):
                 one_keys = [key + 1 for key in cores[m - 1]] if m else []
                 for key in [*cores[m], *one_keys]:
-                    lam = csf_module._decode(key, tier.size)
+                    lam = _decode(tier.size, key)
                     assert type(lam) is Partition and lam.n == m
                     pairs = lam.multiplicities().pairs
                     assert sum(count * tier.places[part] for part, count in pairs) == key
@@ -712,7 +713,7 @@ class TestPackedRecurrences:
                 assert len(ones[m]) == len(cores[m - 1]), m
         for m in range(1, 25):
             for key, c in zip(cores[m - 1], ones[m]):
-                lam = csf_module._decode(key + 1, tier.size)
+                lam = _decode(tier.size, key + 1)
                 assert c == wolfe_path_coefficient(lam, m), (m, lam)
         assert sum(map(len, cores.values())) == 37338
         assert sum(map(len, ones.values())) == 31185
@@ -862,7 +863,7 @@ class TestKeyTiers:
         for k in range(1, tier.size + 1):
             count = tier.size // k
             assert places[k] * count < places[k + 1]
-            assert csf_module._decode(places[k] * count, tier.size) == Partition((k,) * count)
+            assert _decode(tier.size, places[k] * count) == Partition((k,) * count)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -871,7 +872,7 @@ class TestKeyTiers:
         tier = csf_module._TIERS[tier]
         lam, mu = data.draw(_partition_pair(tier.size))
         key = sum(tier.places[k] for k in lam) + sum(tier.places[k] for k in mu)
-        assert csf_module._decode(key, tier.size) == Partition(sorted(lam + mu, reverse=True))
+        assert _decode(tier.size, key) == Partition(sorted(lam + mu, reverse=True))
 
     def test_recurrences_agree_across_a_tier_boundary(self, monkeypatch):
         # A first tier of 8 vertices takes degrees 6-8 and the next one
@@ -902,6 +903,33 @@ class TestKeyTiers:
             assert compute_csf(G).min_coefficient() == value.min_coefficient(), G.label
         assert [len(tier.cores) for tier in csf_module._TIERS] == [9, 13]
         assert [len(tier.ones) for tier in csf_module._TIERS] == [9, 13]
+
+
+    @pytest.mark.parametrize("leaves", [1, 63, 64, 65, 254, 255, 300])
+    def test_star_tree_p_on_both_sides_of_each_tier(self, leaves):
+        # star:l has l + 1 vertices, so these key tree-p's states in the
+        # tiers 64, 255 and one sized to 256 or 301 vertices:
+        # X(star_l) = sum over k of (-1)^k C(l, k) p_(k+1) p_1^(l-k).
+        G = build_family("star", leaves)
+        closed_form = {
+            Partition((k + 1,) + (1,) * (leaves - k)): (-1) ** k * comb(leaves, k)
+            for k in range(leaves + 1)
+        }
+        assert csf_via_tree_dp(G) == SymFunc("p", leaves + 1, closed_form)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("size", [64, 255, 256, 300])
+    def test_keys_round_trip_in_every_tier(self, size, data):
+        # A partition of degree at most the tier's size, encoded by its place
+        # values, decodes back, and is the key a packed result reads for it.
+        left, right = data.draw(_partition_pair(size))
+        lam = Partition(sorted(left + right, reverse=True))
+        places = _places(size)
+        key = sum(places[k] for k in lam)
+        assert _decode(size, key) == lam
+        packed = ("p", lam.n, ({key: 7},), size)
+        assert _packed_coefficient(*packed, lam) == 7
 
 
 class TestTripleDeletion:
@@ -957,6 +985,35 @@ class TestCoefficients:
             f = compute_csf(G).value
             for k in range(1, 6):
                 assert specialize_ones(f, k) == chromatic_polynomial(G, k), (spec, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_forests(), st.sampled_from("meps"))
+    def test_result_reads_one_key_as_the_value_reads_it(self, G, basis):
+        # Every partition of the degree, absent ones included, and one of
+        # another degree; in e and s the result stays packed throughout.
+        result, value = compute_csf(G, basis=basis), compute_csf(G, basis=basis).value
+        for lam in [*enumerate_partitions(G.n), Partition((G.n + 1,))]:
+            assert result.coefficient(lam) == value.coefficient(lam), lam
+        assert (result._value is None) == (basis in "es")
+
+    @pytest.mark.parametrize("first_tier", [64, 8], ids=["N=64", "N=255"])
+    @pytest.mark.parametrize("spec, layers", [("path:22", 2), ("spider:12,7,4", 3),
+                                              ("spider:9,9,3", 3), ("dbroom:2,17,2", 4)])
+    def test_recurrence_result_reads_the_layer_of_its_parts_1(
+        self, monkeypatch, first_tier, spec, layers
+    ):
+        # A first tier of 8 vertices keys these 22- to 24-vertex recurrences
+        # in the tier of 255.  Paths hold up to one part 1, spiders two and
+        # brooms three; every other partition of n is absent.
+        monkeypatch.setattr(csf_module, "_TIERS", (csf_module._Tier(first_tier), csf_module._Tier(255)))
+        G = parse_graph_spec(spec)
+        result, value = compute_csf(G), compute_csf(G).value
+        assert result._packed[3] == (64 if first_tier == 64 else 255)
+        assert len(result._packed[2]) == layers
+        assert {lam.count(1) for lam in value.terms} == set(range(layers))
+        for lam in enumerate_partitions(G.n):
+            assert result.coefficient(lam) == value.coefficient(lam), lam
+        assert result._value is None
 
     def test_result_guards_degree(self):
         with pytest.raises(DegreeMismatch):

@@ -11,13 +11,14 @@ from oracles import brute_representable, partition_count
 from cslab import (
     MultiplicityForm,
     Partition,
+    SymFunc,
     enumerate_partitions,
     numerical_semigroup_gap,
     parse_partition,
     sort_to_partition,
 )
-from cslab.csf import _decode, _tier
-from cslab.symfunc import _beads_shape, _unpack
+from cslab.csf import _tier
+from cslab.symfunc import _beads_shape, _decode, _places
 
 partition_lists = st.lists(st.integers(1, 9), max_size=7).map(
     lambda parts: sorted(parts, reverse=True)
@@ -42,6 +43,16 @@ class TestPartition:
         else:
             with pytest.raises(ValueError):
                 Partition(parts)
+
+    @pytest.mark.parametrize("parts", [[2.7, 1], "21", [2, True], [2.0, 1], [3, "1"], [True]])
+    def test_rejects_parts_that_are_not_ints(self, parts):
+        bad = next(p for p in parts if type(p) is not int)
+        with pytest.raises(ValueError, match=f"must be ints, got {bad!r}"):
+            Partition(parts)
+
+    def test_symfunc_terms_reject_parts_that_are_not_ints(self):
+        with pytest.raises(ValueError, match="must be ints, got 2.9"):
+            SymFunc("e", 3, {(2.9, 1): 1})
 
     def test_empty_partition_of_zero(self):
         empty = Partition()
@@ -86,14 +97,15 @@ class TestUncheckedDecoders:
 
     @given(st.data(), st.sampled_from([10, 64, 200]))
     def test_family_recurrence_keys(self, data, n):
-        places = _tier(n).places
-        key = data.draw(st.integers(0, places[_tier(n).size + 1] - 1))
-        self.assert_checked_agrees(_decode(key, n))
+        tier = _tier(n)
+        key = data.draw(st.integers(0, tier.places[tier.size + 1] - 1))
+        self.assert_checked_agrees(_decode(tier.size, key))
 
-    @given(st.integers(0, 1 << 8 * 12), st.sampled_from([8, 9]))
-    def test_packed_e_keys(self, key, width):
-        # Field 0 would be a part 0, which no e key holds.
-        self.assert_checked_agrees(_unpack(width, key >> width << width))
+    @given(st.data(), st.sampled_from([64, 255, 300]))
+    def test_packed_e_keys(self, data, size):
+        # Tree-p and the conversions key tiers past 255 too.
+        key = data.draw(st.integers(0, _places(size)[size + 1] - 1))
+        self.assert_checked_agrees(_decode(size, key))
 
     @given(st.integers(0, 1 << 60))
     def test_beta_set_keys(self, beads):

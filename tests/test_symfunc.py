@@ -48,9 +48,10 @@ from cslab.symfunc import (
     _beads_shape,
     _elementary_in_p,
     _json_text,
+    _decode,
+    _places,
     _power_in_e,
     _to_m,
-    _unpack,
     from_json_dict,
     to_json_dict,
 )
@@ -552,30 +553,37 @@ def test_property_power_sums_convert_like_peeling_from_m(degree_terms, target):
         assert _to_m(g) == _to_m(f)
 
 
-@pytest.mark.parametrize("width", [8, 9])
+# The tables keyed in the tier of size 2**bits - 1: bits 8 is the top
+# tier, 255, and bits 9 a tier sized to a degree past it, 511.
+
+
+@pytest.mark.parametrize("bits", [8, 9])
 @pytest.mark.parametrize("k", range(1, 11))
-def test_newton_table_matches_peeling_from_m(k, width):
+def test_newton_table_matches_peeling_from_m(k, bits):
     # The packed table of p_k in e against routes that never read it: the
     # polynomials where the degree allows, and e_k's closed form in p.
-    table = {_unpack(width, key): c for key, c in _power_in_e(k, width)}
+    size = (1 << bits) - 1
+    table = {_decode(size, key): c for key, c in _power_in_e(k, size)}
     assert k > 6 or polys_equal(SymFunc("e", k, table), SymFunc.single("p", (k,)), k)
     assert e_terms_in_power(table) == {(k,): 1}
 
 
-@pytest.mark.parametrize("width", [8, 9])
+@pytest.mark.parametrize("bits", [8, 9])
 @pytest.mark.parametrize("k", range(1, 17))
-def test_elementary_table_matches_closed_form(k, width):
+def test_elementary_table_matches_closed_form(k, bits):
     # e_k in p by Newton's identity against sum of (-1)^(k - l) p_lam / z_lam.
-    table = {_unpack(width, key): c for key, c in _elementary_in_p(k, width)}
+    size = (1 << bits) - 1
+    table = {_decode(size, key): c for key, c in _elementary_in_p(k, size)}
     assert table == elementary_in_power(k)
 
 
-@pytest.mark.parametrize("width", [8, 9])
+@pytest.mark.parametrize("bits", [8, 9])
 @pytest.mark.parametrize("k", range(1, 21))
-def test_newton_table_matches_closed_form(k, width):
+def test_newton_table_matches_closed_form(k, bits):
     # Reverse-lexicographic order of the partitions is descending order of
     # their packed keys, the order in which the table lists them.
+    places = _places((1 << bits) - 1)
     expected = tuple(
-        (sum(1 << width * part for part in lam), c) for lam, c in newton_power_in_e(k)
+        (sum(places[part] for part in lam), c) for lam, c in newton_power_in_e(k)
     )
-    assert _power_in_e(k, width) == expected
+    assert _power_in_e(k, len(places) - 2) == expected
