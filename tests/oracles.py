@@ -349,6 +349,66 @@ def odd_broom_e(handle: int) -> SymFunc:
     return SymFunc("e", handle + 3, {Partition(lam): c for lam, c in terms.items()})
 
 
+# -- orientations of forests --------------------------------------------------
+# Polynomials in the number of sinks are lists of integer coefficients.
+
+
+def _sink_add(f: list, g: list) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    return [a + b for a, b in zip(f, g)] + f[len(g):]
+
+
+def _sink_mul(f: list, g: list) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def orientations_by_sinks(G) -> list:
+    """Entry j counts the orientations of the forest G with j sinks, for
+    j in 0..n.  Every orientation of a forest is acyclic, so by Stanley's
+    sink theorem (Adv. Math. 111, 1995, Thm 3.3) entry j is also the sum of
+    X_G's e-coefficients over the partitions with j parts.
+
+    Each component is rooted and walked leaves first.  A vertex keeps two
+    polynomials that count the sinks strictly below it: orientations of
+    its subtree in which it has an edge out to a child, and those in which
+    it has none.  Whether it is a sink itself is settled by the edge to its
+    parent (or, at the root, by the second polynomial alone)."""
+    neighbours = {v: [] for v in range(G.n)}
+    for u, v in G.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    total, seen = [1], set()
+    for root in range(G.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        order, children = [root], {}
+        for v in order:
+            children[v] = [w for w in neighbours[v] if w not in seen]
+            seen.update(children[v])
+            order.extend(children[v])
+        states = {}
+        for v in reversed(order):
+            none, any_way = [1], [1]
+            for w in children[v]:
+                out, sink = states.pop(w)
+                # w -> v: w has an edge out, so it is no sink.
+                towards = _sink_add(out, sink)
+                # v -> w: w is a sink when it has no edge out to a child.
+                away = _sink_add(out, [0] + sink)
+                none = _sink_mul(none, towards)
+                any_way = _sink_mul(any_way, _sink_add(towards, away))
+            states[v] = (_sink_add(any_way, [-c for c in none]), none)
+        out, sink = states[root]
+        total = _sink_mul(total, _sink_add(out, [0] + sink))
+    return (total + [0] * G.n)[:G.n + 1]
+
+
 # -- arithmetic oracles --------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from oracles import (
     csf_by_colorings,
     expand_symfunc,
     odd_broom_e,
+    orientations_by_sinks,
     path_e_terms,
     pendant_spider_e,
     tree_chromatic,
@@ -556,13 +557,46 @@ class TestRecurrencesPastStableRange:
 class TestRecurrenceInvariants:
     """X_T(1^k) = k (k-1)^(n-1), the proper k-colorings of an n-vertex tree,
     read from the recurrences' e-expansions (e_lam(1^k) = prod C(k, lam_i))
-    up to sizes no full route reaches, for k in {2, 3, 5, n}."""
+    up to sizes no full route reaches, for k in {2, 3, 5, n}; and Stanley's
+    sink theorem, the e-coefficients summed by number of parts against the
+    tree's orientations counted by sinks."""
 
     @staticmethod
     def assert_colorings(f: SymFunc, label):
         n = f.degree
         for k in {2, 3, 5, n}:
             assert specialize_ones(f, k) == tree_chromatic(n, k), (label, k)
+
+    @staticmethod
+    def assert_sinks(f: SymFunc, G: Graph):
+        by_length = [0] * (G.n + 1)
+        for lam, c in f.terms.items():
+            by_length[lam.length] += c
+        assert by_length == orientations_by_sinks(G), G.label
+
+    def test_sinks_of_paths_up_to_40_vertices(self):
+        for n in range(1, 41):
+            self.assert_sinks(path_csf_e(n), build_family("path", n))
+
+    def test_sinks_of_every_spider_up_to_20_vertices(self):
+        legs = [lam for n in range(4, 21) for lam in enumerate_partitions(n - 1) if lam.length == 3]
+        assert len(legs) == 204
+        for a, b, c in legs:
+            self.assert_sinks(spider_csf(a, b, c), build_family("spider", a, b, c))
+
+    def test_sinks_of_seeded_spiders_up_to_40_vertices(self):
+        rng = random.Random(28)
+        legs: set = set()
+        while len(legs) < 20:
+            a, b, c = sorted((rng.randint(1, 37) for _ in range(3)), reverse=True)
+            if a + b + c < 40:
+                legs.add((a, b, c))
+        for a, b, c in sorted(legs):
+            self.assert_sinks(spider_csf(a, b, c), build_family("spider", a, b, c))
+
+    def test_sinks_of_odd_double_brooms_up_to_middle_35(self):
+        for middle in range(1, 36, 2):
+            self.assert_sinks(broom_csf(middle), build_family("dbroom", 2, middle, 2))
 
     def test_paths_up_to_40_vertices(self):
         for n in range(1, 41):
@@ -716,7 +750,41 @@ class TestPackedRecurrences:
                 lam = _decode(tier.size, key + 1)
                 assert c == wolfe_path_coefficient(lam, m), (m, lam)
         assert sum(map(len, cores.values())) == 37338
-        assert sum(map(len, ones.values())) == 31185
+        assert sum(map(len, ones.values())) == 37338
+
+    @pytest.mark.parametrize("first_tier", [64, 8], ids=["N=64", "N=8,255"])
+    def test_one_part_layer_is_the_denominator_series(self, monkeypatch, first_tier):
+        # ones[m + 1] is Q_m, the degree-m part of 1 / (1 - sum_k (k-1) e_k),
+        # in cores[m]'s key order: at lam with a_j parts j (none equal to 1)
+        # and length l, l! / prod a_j! * prod (j - 1)^a_j.  Past degree 0,
+        # cores[m] sums k e_k Q_{m-k}; Q_m's coefficients sum to 2^(m-2).
+        tiers = (csf_module._Tier(first_tier), csf_module._Tier(255))
+        monkeypatch.setattr(csf_module, "_TIERS", tiers)
+
+        def q(parts) -> int:
+            value = factorial(len(parts))
+            for j in set(parts):
+                value = value // factorial(parts.count(j)) * (j - 1) ** parts.count(j)
+            return value
+
+        for m in range(41):
+            tier = csf_module._tier(m)
+            cores, ones = csf_module._path_terms(m, tier)
+            assert len(ones[m + 1]) == len(cores[m]), m
+            if m >= 2:
+                assert sum(ones[m + 1]) == 2 ** (m - 2), m
+            if m > 30:
+                continue
+            series = dict(zip(cores[m], ones[m + 1]))
+            lams = [tuple(lam) for lam in enumerate_partitions(m) if 1 not in lam]
+            assert len(series) == len(lams), m
+            for lam in lams:
+                key = sum(tier.places[part] for part in lam)
+                assert series[key] == q(lam), lam
+                if not lam:
+                    continue
+                lower = {i: lam[:lam.index(i)] + lam[lam.index(i) + 1:] for i in set(lam)}
+                assert cores[m][key] == sum(i * q(rest) for i, rest in lower.items()), lam
 
     def test_path_layers_take_under_four_fifths_of_flat_dicts(self):
         # The 40-vertex fill of one tier against the same terms held as one
@@ -738,6 +806,20 @@ class TestPackedRecurrences:
             tracemalloc.stop()
         assert sum(map(len, flat.values())) == 68523
         assert layered < 0.8 * flat_bytes, (layered, flat_bytes)
+
+    def test_path_fill_peaks_within_a_megabyte_of_what_it_keeps(self):
+        # The fill packs two sums in one integer per key; the packed dict of
+        # the largest degree is the only thing it holds beyond its tables.
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tables = csf_module._path_terms(40, csf_module._Tier(64))
+            kept, peak = (size - start for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(tables[0]) == 41
+        assert peak - kept < 1_000_000, (kept, peak)
 
     def test_pinned_path_series(self):
         f = path_csf_e(40)
@@ -902,7 +984,7 @@ class TestKeyTiers:
         for G, value in results:
             assert compute_csf(G).min_coefficient() == value.min_coefficient(), G.label
         assert [len(tier.cores) for tier in csf_module._TIERS] == [9, 13]
-        assert [len(tier.ones) for tier in csf_module._TIERS] == [9, 13]
+        assert [len(tier.ones) for tier in csf_module._TIERS] == [10, 14]
 
 
     @pytest.mark.parametrize("leaves", [1, 63, 64, 65, 254, 255, 300])
