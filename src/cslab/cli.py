@@ -13,8 +13,8 @@ Output is JSON by default (deterministic field order, coefficients as
 decimal strings so arbitrary precision survives any consumer), CSV for
 sweeps via --out csv, or an aligned table via --pretty.  Exit codes:
 0 success, 1 usage error or suite failure, 2 a "no" verdict under
---expect positive, 3 a size cap was hit (or "unknown-at-cap" under
---expect positive), 4 an internal contradiction (a bug, not bad input),
+--expect positive, 3 a size cap was hit, memory ran out, or "unknown-at-cap"
+under --expect positive, 4 an internal contradiction (a bug, not bad input),
 141 stdout was closed before the output was written (e.g. by ``| head``).
 --cap counts vertices in every verb; only a family recurrence's e-terms are
 uncapped.  The CSLAB_CAP environment variable supplies --cap when the flag
@@ -446,6 +446,11 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except TooLarge as exc:
         print(f"cslab: capped: {exc}", file=sys.stderr)
+        return EXIT_CAPPED
+    except MemoryError:
+        # Memory is a cap too: the question was too large to finish, which
+        # is neither bad input nor a bug.
+        print("cslab: capped: out of memory before the answer was complete", file=sys.stderr)
         return EXIT_CAPPED
     except InternalContradiction as exc:
         print(f"cslab: internal contradiction: {exc}", file=sys.stderr)

@@ -523,19 +523,7 @@ def triple_deletion(G: Graph, u: int, v: int, w: int, S) -> SymFunc:
     return compute(selection)
 
 
-# -- coefficient extraction and dispatch ---------------------------------------
-
-
-def extract_coefficient(f: SymFunc, basis: str, lam) -> Coeff:
-    """Coefficient of the basis element indexed by lam, converting first if
-    the function is expressed in another basis."""
-    lam = Partition(lam)
-    if lam.n != f.degree:
-        raise DegreeMismatch(
-            f"partition sums to {lam.n} but the function has degree {f.degree}"
-        )
-    g = f if f.basis == basis else change_basis(f, basis)
-    return g.coefficient(lam)
+# -- dispatch -----------------------------------------------------------------
 
 
 def _family_recurrence(G: Graph):

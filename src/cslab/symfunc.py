@@ -379,36 +379,60 @@ def _beads_shape(beads: int) -> Partition:
     return Partition._unchecked(bit + i + 1 - len(bits) for i, bit in enumerate(bits))
 
 
-# Kept: on tree-expand's trees 90% of calls repeat a pair, and p->s ran ~45% slower without it.
-@lru_cache(maxsize=None)
-def _add_strips(beads: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Each beta-set whose shape adds a border strip of k cells to the shape
-    of ``beads``, with the sign (-1)^(rows of the strip - 1).
+class _StripTable(dict):
+    """The k-strips of each shape met so far: a beta-set maps to the
+    beta-sets of the shapes that add a border strip of k cells to it, as
+    two tuples, those of sign +1 and those of sign -1, the sign being
+    (-1)^(rows of the strip - 1).  A shape fills its entry on first lookup.
 
     A k-strip adds at most k rows, so k beads for empty rows go in below
     first.  Adding the strip moves one bead k places up to a free position;
     the strip's rows are that bead's row and the rows of the beads it
     jumps.  The beads of rows left empty, the trailing ones, drop again.
     """
-    beads = beads << k | (1 << k) - 1
-    movable = beads & ~beads >> k
-    out = []
-    while movable:
-        low = movable & -movable
-        movable ^= low
-        jumped = (beads & (low << k) - (low << 1)).bit_count()
-        moved = beads ^ low ^ low << k
-        out.append((moved >> (~moved & moved + 1).bit_length() - 1, -1 if jumped & 1 else 1))
-    return tuple(out)
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, beads: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        k = self.k
+        padded = beads << k | (1 << k) - 1
+        movable = padded & ~padded >> k
+        plus: list = []
+        minus: list = []
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            jumped = (padded & (low << k) - (low << 1)).bit_count()
+            moved = padded ^ low ^ low << k
+            (minus if jumped & 1 else plus).append(moved >> (~moved & moved + 1).bit_length() - 1)
+        entry = self[beads] = (tuple(plus), tuple(minus))
+        return entry
+
+
+# Kept, one table per strip size for the whole process: tree-expand's 21
+# trees, in e and s, read them 23,268 times for 2,285 misses.  The Schur
+# verdict on spider:30,2,1 fills 174,709 entries, 68 MiB under tracemalloc.
+@lru_cache(maxsize=None)
+def _strip_table(k: int) -> _StripTable:
+    """The process-wide table of k-strips."""
+    return _StripTable(k)
 
 
 def _times_strips(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> None:
     """Add the s-terms, keyed by beta-sets, times p_k into ``out``:
     p_k s_nu is the signed sum of s_lam over the k-strips lam/nu."""
+    table = _strip_table(k)
     get = out.get
     for nu, c in terms.items():
-        for lam, sign in _add_strips(nu, k):
-            out[lam] = get(lam, 0) + sign * c
+        plus, minus = table[nu]
+        for lam in plus:
+            out[lam] = get(lam, 0) + c
+        for lam in minus:
+            out[lam] = get(lam, 0) - c
 
 
 # -- Horner's rule over the parts --------------------------------------------

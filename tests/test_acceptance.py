@@ -27,7 +27,6 @@ from cslab import (
     csf_via_stable_partitions,
     e_positivity,
     enumerate_partitions,
-    extract_coefficient,
     lemma_2odds_coefficient,
     path_csf_e,
     random_tree,
@@ -142,7 +141,7 @@ def test_criterion_05_two_odd_legs_closed_form():
             if legs.length != 3 or sum(p % 2 for p in legs) != 2:
                 continue
             target = Partition((3,) + (2,) * sum(p // 2 for p in legs))
-            extracted = extract_coefficient(spider_csf(*legs), "e", target)
+            extracted = spider_csf(*legs).coefficient(target)
             assert lemma_2odds_coefficient(legs) == extracted, legs
             checked += 1
     assert checked > 0
@@ -204,7 +203,7 @@ def test_criterion_08_double_broom_schur():
     for p in range(1, 7):
         f = broom_csf(2 * p - 1)
         target = Partition((2 * p + 2, 2))
-        assert extract_coefficient(f, "e", target) == -2 * p - 4, p
+        assert f.coefficient(target) == -2 * p - 4, p
 
     for middle in (1, 3, 5, 7, 9):
         G = build_family("dbroom", 2, middle, 2)
@@ -288,7 +287,7 @@ def test_criterion_12_even_pair_quadratic_formula():
             if N > 16:
                 continue
             target = Partition((3, 3) + (2,) * ((N - 6) // 2))
-            extracted = extract_coefficient(spider_csf(a, b, 1), "e", target)
+            extracted = spider_csf(a, b, 1).coefficient(target)
             assert extracted == a * a - (2 * b + 1) * a + b * b - b + 1, (a, b)
             checked += 1
     assert checked > 0

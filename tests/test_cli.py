@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cslab import ROUTES, compute_csf, parse_graph_spec
-from cslab.cli import _ROUTE_CHOICES, main
+from cslab.cli import _HANDLERS, _ROUTE_CHOICES, main
 from cslab.symfunc import BASES, from_json_dict, to_json_dict
 
 
@@ -121,6 +121,16 @@ class TestCsfVerb:
         code, _, err = run_cli(["csf", "--graph", "claw", "--basis", "m"], capsys)
         assert code == 1
         assert "CSLAB_CAP" in err
+
+    def test_out_of_memory_exits_three(self, capsys, monkeypatch):
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setitem(_HANDLERS, "csf", out_of_memory)
+        code, out, err = run_cli(["csf", "--graph", "path:4"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("cslab: capped: out of memory")
 
     def test_bad_graph_spec_exits_one(self, capsys):
         code, _, err = run_cli(["csf", "--graph", "edges:2:0-5"], capsys)

@@ -46,7 +46,6 @@ from cslab import (
     csf_via_stable_partitions,
     csf_via_tree_dp,
     enumerate_partitions,
-    extract_coefficient,
     parse_graph_spec,
     path_csf_e,
     random_tree,
@@ -1057,9 +1056,9 @@ class TestTripleDeletion:
 class TestCoefficients:
     def test_extract_converts_bases_when_needed(self):
         f = path_csf_e(4)
-        assert extract_coefficient(f, "e", Partition((2, 2))) == 2
-        assert extract_coefficient(f, "p", Partition((4,))) != 0
-        assert extract_coefficient(f, "m", Partition((1, 1, 1, 1))) == 24
+        assert f.coefficient(Partition((2, 2))) == 2
+        assert change_basis(f, "p").coefficient(Partition((4,))) != 0
+        assert change_basis(f, "m").coefficient(Partition((1, 1, 1, 1))) == 24
 
     def test_specialization_equals_chromatic_polynomial(self):
         for spec in ("path:6", "cycle:5", "claw", "spider:2,2,1"):

@@ -27,7 +27,6 @@ from cslab import (
     compute_csf,
     e_positivity,
     enumerate_partitions,
-    extract_coefficient,
     lemma_2odds_coefficient,
     parse_graph_spec,
     random_tree,
@@ -62,9 +61,7 @@ class TestTwoOddLegsCoefficient:
             total_halves = sum(part // 2 for part in lam)
             target = Partition((3,) + (2,) * total_halves)
             f = spider_csf(*legs)
-            assert lemma_2odds_coefficient(lam) == extract_coefficient(
-                f, "e", target
-            ), legs
+            assert lemma_2odds_coefficient(lam) == f.coefficient(target), legs
 
 
 class TestSpiderScreeners:

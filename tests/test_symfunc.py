@@ -44,7 +44,6 @@ from cslab.csf import csf_via_tree_dp
 from cslab.graphs import parse_graph_spec
 from cslab.symfunc import (
     BASES,
-    _add_strips,
     _beads_shape,
     _elementary_in_p,
     _json_text,
@@ -315,17 +314,25 @@ def _standard_tableaux(lam) -> int:
 class TestBorderStrips:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_brute_force(self, k):
+        table = symfunc._strip_table(k)
         for size in range(0, 11):
             for nu in enumerate_partitions(size):
                 beads = _beads(nu)
                 assert _beads_shape(beads) == nu
-                strips = _add_strips(beads, k)
-                got = [(_beads_shape(lam), sign) for lam, sign in strips]
-                assert dict(got) == brute_border_strips(nu, k), (nu, k)
-                assert len(got) == len(dict(got)), (nu, k)
+                plus, minus = table[beads]
+                assert table[beads] is table.get(beads)
+                want = brute_border_strips(nu, k)
+                assert sorted(map(_beads_shape, plus)) == sorted(
+                    lam for lam, sign in want.items() if sign == 1
+                ), (nu, k)
+                assert sorted(map(_beads_shape, minus)) == sorted(
+                    lam for lam, sign in want.items() if sign == -1
+                ), (nu, k)
+                assert not set(plus) & set(minus), (nu, k)
                 # Every key is canonical: one bead per row, none for an
                 # empty row below them.
-                for (lam, _), (key, _) in zip(got, strips):
+                for key in plus + minus:
+                    lam = _beads_shape(key)
                     assert not key & 1 and key.bit_count() == len(lam), (nu, k, lam)
 
     @pytest.mark.parametrize("n", range(0, 9))
