@@ -12,9 +12,11 @@ ways, which deliberately share no code path:
   each rooted component.  A state is one integer keyed like p->e terms
   (``symfunc._places``): closed size k counts in the digit at B[k] of n's
   tier, the root's open size in the digit at B[n + 1] above every part, so
-  keeping an edge adds two keys and closing one is a divmod.  Beyond that
-  key format, it shares no code with edge-p (neither its subset loop nor
-  its union-find) or with the recurrences;
+  keeping an edge adds two keys and closing one is a divmod.  Its closed
+  table is the packed p-expansion itself, decoded only for
+  ``csf_via_tree_dp``.  Beyond that key format, it shares no code with
+  edge-p (neither its subset loop nor its union-find) or with the
+  recurrences;
 - family-recurrence: closed recurrences in the elementary basis for paths,
   three-leg spiders, and the two-leaf odd double brooms, which stay sparse
   far beyond where full expansions are feasible.  They key their terms by
@@ -30,11 +32,12 @@ ways, which deliberately share no code path:
   at 255 vertices.
 
 ``compute_csf`` is the one place that chooses and runs a route, from the
-graph and the target basis, and converts the result to that basis (through
-p; in e or s the converted terms stay packed like a recurrence's, so that a
-positivity verdict decodes only its witness); the generic routes are
-memoised per graph there, so every question asked of the same graph
-shares one expansion.  Triple deletion is not a route: it
+graph and the target basis, and converts the result to that basis
+(through p, on the packed terms); its result stays packed in every
+basis, so that a positivity verdict decodes only its witness and a single
+coefficient decodes nothing.  The generic routes are memoised per graph
+there, as packed terms, so every question asked of the same graph shares
+one expansion.  Triple deletion is not a route: it
 rewrites a CSF along the identities relating the graphs obtained by adding
 subsets of a triangle, and the verify suite checks it against the routes.
 
@@ -69,56 +72,43 @@ from .symfunc import (
     Coeff,
     SymFunc,
     _TIER_SIZES,
-    _decode,
+    _convert,
     _decoded,
-    _horner_packed,
+    _encoded,
     _packed_coefficient,
     _packed_min,
     _places,
     _tier_size,
-    _to_p,
-    change_basis,
 )
 
 ROUTES = ("stable-m", "edge-p", "tree-p", "family-recurrence")
 
 
 class CsfResult:
-    """A computed CSF together with the route that produced it.
-
-    A family recurrence, or a conversion out of p, may hand over
-    ``packed`` (basis, degree, integer-keyed layers and their key tier; see
-    ``symfunc._decoded``) instead of a SymFunc: ``value`` then decodes every
-    key on first read, while ``min_coefficient`` decodes only the keys that
-    hold the minimum, and ``coefficient`` decodes none.
+    """A computed CSF as packed terms (basis, degree, integer-keyed layers
+    and their key tier; see ``symfunc._decoded``), with the route that
+    produced it.  ``value`` decodes every key, ``min_coefficient`` only
+    the keys that hold the minimum, and ``coefficient`` none.
     """
 
-    def __init__(self, graph: Graph, route: str, value: SymFunc | None = None, packed=None):
+    def __init__(self, graph: Graph, route: str, packed: tuple):
         if route not in ROUTES:
             raise BadSpec(f"unknown route {route!r}; expected one of {ROUTES}")
-        degree = value.degree if packed is None else packed[1]
-        if degree != graph.n:
-            raise DegreeMismatch(f"CSF degree {degree} does not match vertex count {graph.n}")
-        self.graph, self.route, self._value, self._packed = graph, route, value, packed
+        if packed[1] != graph.n:
+            raise DegreeMismatch(f"CSF degree {packed[1]} does not match vertex count {graph.n}")
+        self.graph, self.route, self._packed = graph, route, packed
 
     @property
     def value(self) -> SymFunc:
-        if self._value is None:
-            self._value = _decoded(*self._packed)
-        return self._value
+        return _decoded(*self._packed)
 
     def min_coefficient(self) -> tuple[Partition, Coeff]:
         """``value.min_coefficient()``, without building ``value``."""
-        if self._value is None:
-            return _packed_min(*self._packed)
-        return self._value.min_coefficient()
+        return _packed_min(*self._packed)
 
     def coefficient(self, lam) -> Coeff:
         """``value.coefficient(lam)``, without building ``value``."""
-        lam = lam if isinstance(lam, Partition) else Partition(lam)
-        if self._value is None:
-            return _packed_coefficient(*self._packed, lam)
-        return self._value.coefficient(lam)
+        return _packed_coefficient(*self._packed, lam if isinstance(lam, Partition) else Partition(lam))
 
 
 # -- base routes --------------------------------------------------------------
@@ -210,7 +200,13 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
     """Power-sum-basis CSF of a forest: the edge-subset sum of edge-p,
     evaluated by a dynamic programme over each rooted component instead of
     over the 2^m subsets.  Components multiply, because p is
-    multiplicative.  ``compute_csf`` bounds it by its vertex cap."""
+    multiplicative."""
+    return _decoded(*_tree_p(G))
+
+
+def _tree_p(G: Graph) -> tuple:
+    """``csf_via_tree_dp`` as a packed result, keyed in the tier of the
+    vertex count.  ``compute_csf`` bounds it by its vertex cap."""
     m = G.edge_count
     components = connected_components(G)
     if m != G.n - len(components):
@@ -233,7 +229,7 @@ def csf_via_tree_dp(G: Graph) -> SymFunc:
                 key = kx + _closed(ky, top, places)
                 product[key] = product.get(key, 0) + x * y
         total = product
-    return SymFunc("p", G.n, {_decode(size, key): c for key, c in total.items() if c})
+    return "p", G.n, (total,), size
 
 
 # -- path recurrence ----------------------------------------------------------
@@ -545,16 +541,15 @@ def _family_recurrence(G: Graph):
 
 
 @lru_cache(maxsize=_GRAPHS_KEPT)
-def _generic_csf(G: Graph, route: str) -> SymFunc:
-    """The stable-m, edge-p or tree-p expansion of G, memoised so that every
-    later question about the same graph reuses it.  Family recurrences are
-    not memoised here: their term count grows with the number of partitions
-    of n, and their building blocks already sit in the path-series memo."""
-    if route == "stable-m":
-        return csf_via_stable_partitions(G)
+def _generic_csf(G: Graph, route: str) -> tuple:
+    """The stable-m, edge-p or tree-p expansion of G as a packed result,
+    memoised so that every later question about the same graph reuses it.
+    Family recurrences are not memoised here: their term count grows with
+    the number of partitions of n, and their building blocks already sit
+    in the path-series memo."""
     if route == "tree-p":
-        return csf_via_tree_dp(G)
-    return csf_via_edge_subsets(G)
+        return _tree_p(G)
+    return _encoded(csf_via_stable_partitions(G) if route == "stable-m" else csf_via_edge_subsets(G))
 
 
 def compute_csf(
@@ -597,15 +592,10 @@ def compute_csf(
                 "a double broom with two leaves per side and an odd middle"
             )
         if basis in (None, "e"):
-            return CsfResult(G, route, packed=_packed_e(*family()))
+            return CsfResult(G, route, _packed_e(*family()))
     if G.n > cap:
         raise TooLarge(f"{G.n} vertices exceed the cap {cap}")
     # The memo key ignores the graph's label (Graph equality does), so the
     # result wraps the caller's graph, not the one first cached.
-    value = _decoded(*_packed_e(*family())) if family else _generic_csf(G, route)
-    if basis in ("e", "s"):
-        # Left packed: a positivity question decodes only its witness.
-        return CsfResult(G, route, packed=_horner_packed(_to_p(value), basis))
-    if basis is not None and value.basis != basis:
-        value = change_basis(value, basis, cap=cap)
-    return CsfResult(G, route, value)
+    packed = _packed_e(*family()) if family else _generic_csf(G, route)
+    return CsfResult(G, route, packed if basis is None else _convert(packed, basis))

@@ -258,9 +258,9 @@ def _connected_cover_trace(G: Graph):
         return None
     if len(connected_components(G)) > 1:
         return ("connected-partition-cover", True, "not applicable: the graph is disconnected")
-    terms = compute_csf(G, basis="p").value.terms if G.edge_count == G.n - 1 else None
+    tree = compute_csf(G, basis="p") if G.edge_count == G.n - 1 else None
     for lam in enumerate_partitions(G.n):
-        if not (lam in terms if terms is not None else has_connected_partition(G, lam)):
+        if not (tree.coefficient(lam) if tree else has_connected_partition(G, lam)):
             return (
                 "connected-partition-cover",
                 False,

@@ -146,7 +146,7 @@ def schur_coefficient(G: Graph, lam):
             f"partition sums to {lam.n} but the graph has {G.n} vertices"
         )
     # Kept: counting every content instead took path:10's shapes from 0.05 s to 7.6 s.
-    fm = compute_csf(G, "stable-m").value if G.n <= 12 else None
+    fm = compute_csf(G, "stable-m") if G.n <= 12 else None
     tabloids = enumerate_srht(lam)
     if fm is None:
         # A content over the block cap refuses the question, so refuse it

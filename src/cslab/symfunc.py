@@ -21,7 +21,10 @@ reverse-lexicographically least term of the residual, subtracting its p
 row in m, which is valid because that transition matrix is triangular
 with respect to dominance order and reverse-lexicographic order refines
 dominance.  s->m goes term by term through Kostka numbers, since s is not
-multiplicative, and s reaches p through m.
+multiplicative, and s reaches p through m.  Between those ends every term
+is an integer key, in one format for e, p and m and as a beta-set for s:
+a SymFunc is encoded once on the way in, and a packed result decoded
+once on the way out, or read one key at a time.
 """
 
 from __future__ import annotations
@@ -207,26 +210,6 @@ class SymFunc(_Record):
         return self.scale(other) if _is_scalar(other) else NotImplemented
 
 
-# -- multiplying m-basis term dicts by one p_k ----------------------------------
-
-
-def _times_power(terms: Mapping[Partition, Coeff], k: int, size: int, out: dict) -> None:
-    """Add the m-basis terms times p_k (= the k-th power sum) into ``out``.
-
-    The single power either lands on a fresh variable or raises one existing
-    exponent value by k; the coefficient counts the positions of the product
-    monomial that could have received it.
-    """
-    for rho, c in terms.items():
-        for v in {0, *rho}:
-            parts = list(rho)
-            if v:
-                parts.remove(v)
-            parts.append(v + k)
-            mu = Partition(sorted(parts, reverse=True))
-            out[mu] = out.get(mu, 0) + c * mu.count(v + k)
-
-
 # -- single-basis-element expansions into the monomial basis -----------------
 
 
@@ -278,19 +261,20 @@ def _s_to_m_terms(lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
     return tuple((mu, k) for mu in enumerate_partitions(lam.n) if (k := kostka_number(lam, mu)))
 
 
-# -- between p and e, and from p into s, on integer keys ---------------------
+# -- the integer keys of every change of basis -------------------------------
 #
-# The e and p keys, in tree-p, the conversions and the family recurrences
-# of ``cslab.csf`` alike, are mixed-radix integers: in tier N (64, else
-# 255, else the degree itself) the multiplicity of part k, at most N // k,
-# is the digit of radix N // k + 1 at place B[k] = prod_{j<k} (N // j + 1).
-# No digit carries, so a product of two terms is one integer addition, and
-# descending keys are reverse-lexicographic order.  The s keys are beta-sets
-# with one bead per row, bitmasks with the bead of row i = 0..l-1 at bit
-# lam_i - i + l - 1, so a shape has the same key at every degree and the
-# empty shape is 0; adding a k-strip moves one bead k places up (the abacus
-# form of Murnaghan-Nakayama).  The keys of a result become Partitions only
-# at the end, each through a memo.
+# The e, p and m keys, in tree-p, the conversions and the family
+# recurrences of ``cslab.csf`` alike, are mixed-radix integers: in tier N
+# (64, else 255, else the degree itself) the multiplicity of part k, at most
+# N // k, is the digit of radix N // k + 1 at place B[k] = prod_{j<k} (N // j
+# + 1).  No digit carries, so a product of two terms is one integer
+# addition, and descending keys are reverse-lexicographic order.  The s keys
+# are beta-sets with one bead per row, bitmasks with the bead of row
+# i = 0..l-1 at bit lam_i - i + l - 1, so a shape has the same key at every
+# degree and the empty shape is 0; adding a k-strip moves one bead k places
+# up (the abacus form of Murnaghan-Nakayama).  Partitions become keys only
+# on the way in (``_encoded``) and keys become Partitions only in answers,
+# each through a memo.
 
 _TIER_SIZES = (64, 255)
 
@@ -310,9 +294,10 @@ def _places(size: int) -> list:
     return places
 
 
-# Kept: tree-expand's 21 trees, in e and s, read it 5,927 times for 542
-# misses.  Bounded, since decoding a whole recurrence misses on every key:
-# spider:30,15,8's 146,212 took 0.63 s so, and 0.85 s with no bound.
+# Kept: tree-expand's 21 trees, in e and s, read it 3,067 times for 486
+# misses, all for the answers' keys.  Bounded, since decoding a whole
+# recurrence misses on every key: spider:30,15,8's 146,212 took 0.63 s so,
+# and 0.85 s with no bound.
 @lru_cache(maxsize=1 << 13)
 def _decode(size: int, key: int) -> Partition:
     """The Partition of a key of tier ``size``, peeled from its top digit
@@ -326,7 +311,7 @@ def _decode(size: int, key: int) -> Partition:
     return Partition._unchecked(parts)
 
 
-# Kept: tree-expand's 21 trees, in e and s, read it 2,133 times for 16 misses.
+# Kept: tree-expand's 21 trees, in e and s, read it 2,149 times for 16 misses.
 @lru_cache(maxsize=None)
 def _power_in_e(k: int, size: int) -> tuple[tuple[int, int], ...]:
     """p_k in the e basis, keyed in tier ``size``, in descending order, by
@@ -370,7 +355,7 @@ def _times_packed(table, terms: Mapping[int, Coeff], k: int, size: int, out: dic
             out[key] = get(key, 0) + c * d
 
 
-# Kept: tree-expand's 21 trees, in e and s, read it 2,821 times for 499 misses.
+# Kept: tree-expand's 21 trees, in e and s, read it 3,320 times for 499 misses.
 @lru_cache(maxsize=None)
 def _beads_shape(beads: int) -> Partition:
     """The Partition of a beta-set: the bead of row i of l sits at bit
@@ -435,13 +420,30 @@ def _times_strips(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> N
             out[lam] = get(lam, 0) - c
 
 
+def _times_power(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> None:
+    """Add the m-terms, keyed in tier ``size``, times p_k into ``out``.
+
+    The single power either lands on a fresh variable (part 0 becomes k) or
+    raises one existing part v to v + k, which moves one count from digit v
+    to digit v + k; the coefficient is the new part's multiplicity, the
+    positions of the product monomial that could have received it.
+    """
+    places = _places(size)
+    get = out.get
+    for key, c in terms.items():
+        for v in {0, *_decode(size, key)}:
+            new = key - places[v] + places[v + k]
+            count = new % places[v + k + 1] // places[v + k]
+            out[new] = get(new, 0) + c * count
+
+
 # -- Horner's rule over the parts --------------------------------------------
 #
 # A function in a multiplicative basis is f = sum over k of g_k times the
 # k-th generator (p_k or e_k), where g_k holds f's terms whose largest part
 # is k, with that part taken out.  Each g_k is converted the same way and
 # multiplied by the generator once, so terms that share parts share the
-# work of converting them.  The terms are sorted once, descending, so the
+# work of converting them.  The keys are sorted once, descending, so the
 # terms that share their first d parts are one contiguous run, and each
 # level works on index ranges of that list.  A run of a single term reads
 # that term's memoised row instead; only such lone terms are memoised, and
@@ -449,9 +451,9 @@ def _times_strips(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> N
 #
 # Only the step differs from one pair of bases to the next: step(terms, k,
 # size, out) adds the target-basis terms times the k-th generator into
-# out.  ``size`` is what the target's keys need beyond themselves, and all
-# that a row depends on beyond its index: the tier of packed keys, and 0
-# for s and m.
+# out.  ``size`` is the tier of the source's keys, and of the target's
+# when they are packed too (e, p and m); the s step ignores it, since a
+# beta-set needs no tier.
 
 _STEPS = {
     ("p", "e"): partial(_times_packed, _power_in_e),
@@ -461,53 +463,82 @@ _STEPS = {
 }
 
 
-# Kept: tree-expand's 21 trees, in e and s, read it 6,802 times for 94 misses.
+# Kept: tree-expand's 21 trees, in e and s, read it 6,896 times for 94 misses.
 @lru_cache(maxsize=None)
-def _row(pair: tuple[str, str], size: int, mu: tuple) -> tuple[tuple[object, Coeff], ...]:
-    """The basis element of ``pair``'s source indexed by mu, in its target:
-    the row of mu without its largest part, times that part's generator."""
-    if not mu:
+def _row(pair: tuple[str, str], size: int, key: int) -> tuple[tuple[int, Coeff], ...]:
+    """The basis element of ``pair``'s source keyed by ``key`` in tier
+    ``size``, in its target: the row of the key without its largest part,
+    times that part's generator."""
+    if not key:
         # The constant 1: the empty partition, packed or as a beta-set, is 0.
-        return ((Partition() if pair[1] == "m" else 0, 1),)
+        return ((0, 1),)
+    places = _places(size)
+    part = bisect_right(places, key) - 1
     out: dict = {}
-    _STEPS[pair](dict(_row(pair, size, mu[1:])), mu[0], size, out)
+    _STEPS[pair](dict(_row(pair, size, key - places[part])), part, size, out)
     return tuple((key, c) for key, c in out.items() if c)
 
 
-def _horner(pair: tuple[str, str], size: int, terms: Mapping[tuple, Coeff]) -> dict:
-    """The terms of ``pair``'s source in its target, keyed as its step keys
-    them."""
+def _horner(pair: tuple[str, str], size: int, terms: Mapping[int, Coeff]) -> dict:
+    """The terms of ``pair``'s source, keyed in tier ``size``, in its
+    target, keyed as its step keys them."""
     items = sorted(terms.items(), reverse=True)
     step = _STEPS[pair]
+    places = _places(size)
 
-    def convert(lo: int, hi: int, d: int) -> dict:
-        # items[lo:hi] share their first d parts.  Split them into runs
-        # that also share part d, convert each run's remainders past part
-        # d, and take one step by part d per run.
+    def convert(lo: int, hi: int, done: int) -> dict:
+        # items[lo:hi] share their first parts, whose keys sum to done.
+        # Split them into runs that also share the next part, convert each
+        # run's remainders past it, and take one step by it per run.
         out: dict = {}
         get = out.get
         while lo < hi:
-            mu, c = items[lo]
+            key, c = items[lo]
+            part = bisect_right(places, key - done) - 1
+            # The run's keys lie in [shared, done + B[part + 1]), and none
+            # of items[lo:hi] is larger than the first.
+            shared = done + places[part]
             end = lo + 1
-            if end == hi or items[end][0][d] != mu[d]:
-                for key, e in _row(pair, size, mu[d:]):
-                    out[key] = get(key, 0) + c * e
+            while end < hi and items[end][0] >= shared:
+                end += 1
+            if end == lo + 1:
+                for target, e in _row(pair, size, key - done):
+                    out[target] = get(target, 0) + c * e
             else:
-                part = mu[d]
-                while end < hi and items[end][0][d] == part:
-                    end += 1
-                step(convert(lo, end, d + 1), part, size, out)
+                step(convert(lo, end, shared), part, size, out)
             lo = end
         return out
 
     return convert(0, len(items), 0)
 
 
-def _horner_packed(f: SymFunc, target: str) -> tuple:
-    """f by Horner's rule in the target basis, from p into e or s or from e
-    into p, as a packed result with one layer."""
-    size = 0 if target == "s" else _tier_size(f.degree)
-    return target, f.degree, (_horner((f.basis, target), size, f.terms),), size
+def _peel_from_m(terms: Mapping[int, Coeff], size: int) -> dict:
+    """m-terms keyed in tier ``size`` in the p basis, by triangular peeling:
+    p_lam in m is a multiple of m_lam plus the monomials of coarser
+    partitions, which are reverse-lexicographically greater, so the
+    residual's least key is peeled by its p row.  A row that misses its
+    diagonal, or a peel that does not move up, is a bug and raises
+    SingularSystem rather than returning a wrong answer."""
+    residual = {key: c for key, c in terms.items() if c}
+    out: dict = {}
+    prev = -1
+    while residual:
+        lead = min(residual)
+        if lead <= prev:
+            raise SingularSystem(f"peeling did not make progress at {tuple(_decode(size, lead))}")
+        prev = lead
+        row = _row(("p", "m"), size, lead)
+        diag = dict(row).get(lead, 0)
+        if not diag:
+            raise SingularSystem(f"pivot {tuple(_decode(size, lead))} does not reach its own monomial")
+        coeff = out[lead] = _exact_div(residual[lead], diag)
+        for key, d in row:
+            val = residual.get(key, 0) - coeff * d
+            if val:
+                residual[key] = val
+            else:
+                residual.pop(key, None)
+    return out
 
 
 # -- packed results ------------------------------------------------------------
@@ -515,10 +546,18 @@ def _horner_packed(f: SymFunc, target: str) -> tuple:
 # A packed result is (basis, degree, layers, size): layer j maps integer
 # keys to coefficients, and the term of key k in layer j is the partition
 # of key k + j, a beta-set when ``size`` is 0 and a key of tier ``size``
-# otherwise.  Conversions out of p hand over one layer; the family
-# recurrences of ``cslab.csf`` hold one layer per number of parts 1, whose
-# key adds 1 (B[1] = 1), over keys with no part 1.  Zero coefficients may
-# stay in the layers.
+# otherwise.  Encoded functions and conversions hand over one layer; the
+# family recurrences of ``cslab.csf`` hold one layer per number of parts
+# 1, whose key adds 1 (B[1] = 1), over keys with no part 1, so no two
+# layers hold the same partition.  Zero coefficients may stay in the
+# layers.
+
+
+def _encoded(f: SymFunc) -> tuple:
+    """The packed result of f in e, p or m, keyed in the tier of its degree."""
+    size = _tier_size(f.degree)
+    places = _places(size)
+    return f.basis, f.degree, ({sum(map(places.__getitem__, lam)): c for lam, c in f.terms.items()},), size
 
 
 def _decoded(basis: str, degree: int, layers, size: int) -> SymFunc:
@@ -554,68 +593,34 @@ def _packed_coefficient(basis: str, degree: int, layers, size: int, lam: Partiti
 # -- change of basis ---------------------------------------------------------
 
 
-def _to_m(f: SymFunc) -> SymFunc:
-    """f in the m basis: term by term through Kostka numbers from s, which
-    is not multiplicative, and otherwise by Horner's rule out of p."""
-    if f.basis == "m":
-        return f
-    if f.basis == "s":
-        out: dict[Partition, Coeff] = {}
-        for lam, c in f.terms.items():
-            for mu, d in _s_to_m_terms(lam):
-                out[mu] = out.get(mu, 0) + c * d
-        return SymFunc("m", f.degree, out)
-    return SymFunc("m", f.degree, _horner(("p", "m"), 0, _to_p(f).terms))
-
-
-def _peel_from_m(fm: SymFunc) -> SymFunc:
-    """An m-basis function in the p basis, by triangular peeling: p_lam in m
-    is a multiple of m_lam plus the monomials of coarser partitions, which
-    are reverse-lexicographically greater, so the residual's least term is
-    peeled by its p row.  A row that misses its diagonal, or a peel that
-    does not move up, is a bug and raises SingularSystem rather than
-    returning a wrong answer."""
-    residual: dict[Partition, Coeff] = fm.terms.copy()
-    out: dict[Partition, Coeff] = {}
-    prev: Partition | None = None
-    while residual:
-        lead = min(residual)
-        if prev is not None and lead <= prev:
-            raise SingularSystem(f"peeling did not make progress at {tuple(lead)}")
-        prev = lead
-        row = _row(("p", "m"), 0, lead)
-        diag = dict(row).get(lead, 0)
-        if not diag:
-            raise SingularSystem(f"pivot {tuple(lead)} does not reach its own monomial")
-        coeff = out[lead] = _exact_div(residual[lead], diag)
-        for mu, d in row:
-            val = residual.get(mu, 0) - coeff * d
-            if val:
-                residual[mu] = val
-            else:
-                residual.pop(mu, None)
-    return SymFunc("p", fm.degree, out)
-
-
-def _to_p(f: SymFunc) -> SymFunc:
-    """f in the hub basis p: by Horner's rule from e, and by peeling from
-    m, which s reaches through the Kostka table."""
-    if f.basis == "p":
-        return f
-    if f.basis == "e":
-        return _decoded(*_horner_packed(f, "p"))
-    return _peel_from_m(_to_m(f))
+def _convert(packed: tuple, target: str) -> tuple:
+    """A packed result in e, p or m, in the target basis, through the hub
+    p: into p from e by Horner's rule (Newton's identity) and from m by the
+    peel, out of p to e, s and m by Horner's rule."""
+    basis, degree, layers, size = packed
+    if basis == target:
+        return packed
+    terms = {key + j: c for j, layer in enumerate(layers) for key, c in layer.items() if c}
+    if basis == "e":
+        # Newton's rows divide; demote the integral quotients before any
+        # further step multiplies them.
+        terms = {key: _normalize_coeff(c) for key, c in _horner(("e", "p"), size, terms).items()}
+    elif basis == "m":
+        terms = _peel_from_m(terms, size)
+    if target != "p":
+        terms = _horner(("p", target), size, terms)
+    return target, degree, (terms,), 0 if target == "s" else size
 
 
 def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
     """Rewrite f in the target basis, exactly, through the hub basis p.
 
-    Into p: from e by Horner's rule over f's parts (Newton's identity), from
-    m by triangular peeling, and from s through m by Kostka numbers.  Out
-    of p: to e, s and m by Horner's rule.  s->m alone stops at m.  Refuses
-    degrees above ``cap``: the number of partitions, and with it the
-    implicit transition system, grows too fast for a full expansion to be
-    a sensible default there.
+    s goes to m first, term by term through Kostka numbers, since s is not
+    multiplicative; s->m stops there.  Into p: from e by Horner's rule over
+    f's parts (Newton's identity), from m by triangular peeling.  Out of p:
+    to e, s and m by Horner's rule.  Refuses degrees above ``cap``: the
+    number of partitions, and with it the implicit transition system, grows
+    too fast for a full expansion to be a sensible default there.
     """
     if target not in BASES:
         raise BasisMismatch(f"unknown basis {target!r}; expected one of {BASES}")
@@ -623,10 +628,13 @@ def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymF
         raise TooLarge(f"degree {f.degree} exceeds the basis-change cap {cap}")
     if target == f.basis:
         return f
-    if target == "m":
-        return _to_m(f)
-    p = _to_p(f)
-    return p if target == "p" else _decoded(*_horner_packed(p, target))
+    if f.basis == "s":
+        out: dict[Partition, Coeff] = {}
+        for lam, c in f.terms.items():
+            for mu, d in _s_to_m_terms(lam):
+                out[mu] = out.get(mu, 0) + c * d
+        f = SymFunc("m", f.degree, out)
+    return _decoded(*_convert(_encoded(f), target))
 
 
 # -- evaluation --------------------------------------------------------------

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import cslab.csf
+import cslab.symfunc
 from cslab import ROUTES, compute_csf, parse_graph_spec
 from cslab.cli import _HANDLERS, _ROUTE_CHOICES, main
 from cslab.symfunc import BASES, from_json_dict, to_json_dict
@@ -190,16 +192,21 @@ class TestCoeffVerbs:
         ("dbroom:3,4,3", "e", "5,3,2,1", "-86"),
         ("dbroom:3,4,3", "s", "6,4,1", "-7"),
     ])
-    def test_coefficient_decodes_no_key(self, capsys, monkeypatch, spec, basis, partition, coeff):
-        def no_decoding(*key):
-            raise AssertionError(f"coeff decoded the key {key[-1]}")
+    def test_coefficient_decodes_no_key(self, capsys, spec, basis, partition, coeff):
+        # The memoised expansion is cleared, so that the expansion is built
+        # here; the decoders' memos count every call, through any module's
+        # binding of them.
+        def decodes():
+            return [info.hits + info.misses for info in
+                    (cslab.symfunc._decode.cache_info(), cslab.symfunc._beads_shape.cache_info())]
 
-        monkeypatch.setattr("cslab.symfunc._decode", no_decoding)
-        monkeypatch.setattr("cslab.symfunc._beads_shape", no_decoding)
+        cslab.csf._generic_csf.cache_clear()
+        before = decodes()
         argv = ["coeff", "--graph", spec, "--basis", basis, "--partition", partition]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert json.loads(out)["coeff"] == coeff
+        assert decodes() == before
 
     def test_wrong_size_partition_is_refused_before_expanding(self, capsys, monkeypatch):
         def no_expansion(*args, **kwargs):

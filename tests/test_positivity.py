@@ -254,7 +254,7 @@ class TestOneExpansionPerGraph:
         calls = []
         for name, route in (
             ("enumerate_stable_partitions", "stable-m"),
-            ("csf_via_tree_dp", "tree-p"),
+            ("_tree_p", "tree-p"),
         ):
             original = getattr(cslab.csf, name)
 

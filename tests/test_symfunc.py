@@ -50,7 +50,6 @@ from cslab.symfunc import (
     _decode,
     _places,
     _power_in_e,
-    _to_m,
     from_json_dict,
     to_json_dict,
 )
@@ -277,7 +276,7 @@ class TestPowerSumConversions:
         assert polys_equal(f, g, 4)
         if target == "s":
             # Back to m through the Kostka table, which no p->s step reads.
-            assert _to_m(g) == _to_m(f)
+            assert change_basis(g, "m", cap=g.degree) == change_basis(f, "m", cap=f.degree)
         assert any(isinstance(c, Fraction) for c in g.terms.values())
 
     @pytest.mark.parametrize("n", [255, 300])
@@ -287,6 +286,20 @@ class TestPowerSumConversions:
         ones, two = Partition((1,) * n), Partition((2,) + (1,) * (n - 2))
         f = SymFunc("p", n, {ones: 1, two: 1})
         assert change_basis(f, "e", cap=n).terms == {ones: 2, two: -2}
+
+    @pytest.mark.parametrize("n", [64, 65, 255, 256, 300])
+    def test_two_part_power_sums_in_m_at_the_tiers_edges(self, n):
+        # p_a p_b = m_(a,b) + m_(a+b) for a != b, and p_a^2 = 2 m_(a,a) +
+        # m_(2a).  64 and 255 fill the tiers of 64 and 255, 65 is the least
+        # degree of the tier of 255, and 256 and 300 are keyed in tiers of
+        # their own size.  Raising a part to a + b = n moves a count into
+        # the tier's top digits, and the peel back into p reads them.
+        for a in sorted({n - 1, n // 2 + 1, n - n // 2}):
+            b = n - a
+            p = SymFunc("p", n, {(a, b): 1})
+            m = SymFunc("m", n, {(a, b): 2 if a == b else 1, (n,): 1})
+            assert change_basis(p, "m", cap=n) == m, (a, b)
+            assert change_basis(m, "p", cap=n) == p, (a, b)
 
     def test_cancelling_terms_leave_no_zero_coefficients(self):
         # p_1^2 - p_2 = 2 e_2 and = 2 s_{1,1}; the e_{1,1} and s_2 terms cancel.
@@ -350,7 +363,7 @@ class TestBorderStrips:
         ]
         for f in functions + functions[::-1]:
             g = change_basis(f, "s")
-            assert _to_m(g) == _to_m(f), f
+            assert change_basis(g, "m", cap=g.degree) == change_basis(f, "m", cap=f.degree), f
             assert f.degree > 6 or polys_equal(f, g, f.degree), f
         # p_(2,1)'s row is the tail of p_(3,2,1)'s, read at a lower degree.
         symfunc._row.cache_clear()
@@ -379,14 +392,14 @@ class TestSpecializeOnes:
         for n in range(0, 9):
             for lam in enumerate_partitions(n):
                 f = SymFunc.single("s", lam, 3)
-                fm = _to_m(f)
+                fm = change_basis(f, "m", cap=f.degree)
                 for k in range(0, 7):
                     assert specialize_ones(f, k) == specialize_ones(fm, k), (lam, k)
 
     def test_schur_input_makes_no_kostka_lookups(self):
         # s_{3,3,2,2} vanishes on three variables: it has four rows.
         f = SymFunc("s", 10, {Partition((6, 3, 1)): 5, Partition((3, 3, 2, 2)): -2})
-        expected = specialize_ones(_to_m(f), 3)
+        expected = specialize_ones(change_basis(f, "m", cap=f.degree), 3)
         before = symfunc.kostka_number.cache_info()
         assert specialize_ones(f, 3) == expected
         assert symfunc.kostka_number.cache_info() == before
@@ -557,7 +570,7 @@ def test_property_power_sums_convert_like_peeling_from_m(degree_terms, target):
     if target == "e":
         assert e_terms_in_power(g.terms) == f.terms
     else:
-        assert _to_m(g) == _to_m(f)
+        assert change_basis(g, "m", cap=g.degree) == change_basis(f, "m", cap=f.degree)
 
 
 # The tables keyed in the tier of size 2**bits - 1: bits 8 is the top
