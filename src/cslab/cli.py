@@ -79,11 +79,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cslab", description=__doc__.splitlines()[0])
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, help_text):
-        sub = verbs.add_parser(name, help=help_text)
-        return sub
-
-    p_csf = add("csf", "expand a graph's CSF in a chosen basis")
+    p_csf = verbs.add_parser("csf", help="expand a graph's CSF in a chosen basis")
     p_csf.add_argument("--graph", required=True, help="graph spec, e.g. spider:4,2,1")
     p_csf.add_argument("--basis", choices=("m", "e", "p", "s"), default="m")
     p_csf.add_argument("--route", choices=_ROUTE_CHOICES, default="auto")
@@ -91,19 +87,20 @@ def _build_parser() -> _Parser:
     p_csf.add_argument("--cap", type=int, default=None, help=cap_help)
     p_csf.add_argument("--pretty", action="store_true")
 
-    p_coeff = add("coeff", "one coefficient of the CSF in a chosen basis")
+    p_coeff = verbs.add_parser("coeff", help="one coefficient of the CSF in a chosen basis")
     p_coeff.add_argument("--graph", required=True)
     p_coeff.add_argument("--basis", choices=("m", "e", "p", "s"), default="e")
     p_coeff.add_argument("--partition", required=True, help="comma-separated parts, e.g. 4,2,1")
     p_coeff.add_argument("--route", choices=_ROUTE_CHOICES, default="auto")
     p_coeff.add_argument("--cap", type=int, default=None, help=cap_help)
 
-    p_schur = add("schur-coeff", "one Schur coefficient by signed tabloid counting")
+    p_schur = verbs.add_parser("schur-coeff",
+                               help="one Schur coefficient by signed tabloid counting")
     p_schur.add_argument("--graph", required=True)
     p_schur.add_argument("--partition", required=True)
     p_schur.add_argument("--trace", action="store_true", help="include per-tabloid rows")
 
-    p_pos = add("positivity", "e- and Schur-positivity verdicts for one graph")
+    p_pos = verbs.add_parser("positivity", help="e- and Schur-positivity verdicts for one graph")
     p_pos.add_argument("--graph", required=True)
     p_pos.add_argument("--basis", choices=("e", "s", "both"), default="both")
     p_pos.add_argument("--cap", type=int, default=None,
@@ -112,7 +109,7 @@ def _build_parser() -> _Parser:
     p_pos.add_argument("--trace", action="store_true", help="include the full screener trace")
     p_pos.add_argument("--pretty", action="store_true")
 
-    p_sweep = add("sweep", "positivity verdicts across a one-parameter family")
+    p_sweep = verbs.add_parser("sweep", help="positivity verdicts across a one-parameter family")
     p_sweep.add_argument("--family", required=True, help="template, e.g. spider:a,2,1")
     p_sweep.add_argument("--range", required=True, help="VAR=a..b, e.g. a=2..30")
     p_sweep.add_argument("--cap", type=int, default=None,
@@ -122,7 +119,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--expect", choices=("positive",), default=None)
     p_sweep.add_argument("--pretty", action="store_true")
 
-    p_conj = add("conjecture", "check a named conjecture on small instances")
+    p_conj = verbs.add_parser("conjecture", help="check a named conjecture on small instances")
     p_conj.add_argument("--id", required=True, dest="conjecture_id",
                         help="conjecture name or numeric alias")
     p_conj.add_argument("--limit", "--max-p", type=int, default=None, dest="limit",
@@ -132,7 +129,7 @@ def _build_parser() -> _Parser:
                         f"skipped (default {DEFAULT_CONJECTURE_CAP})")
     p_conj.add_argument("--expect", choices=("positive",), default=None)
 
-    p_verify = add("verify", "run a named cross-validation suite")
+    p_verify = verbs.add_parser("verify", help="run a named cross-validation suite")
     p_verify.add_argument("--suite", required=True)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=None,
@@ -295,69 +292,52 @@ def _parse_range(text: str):
     return match.group(1), int(match.group(2)), int(match.group(3))
 
 
-def _sweep_row_fields(row) -> tuple:
-    def verdict_and_witness(report, verdict_of):
-        if report is None:
-            return "error", "", ""
-        witness = report.witness
-        if witness is None:
-            return verdict_of(report), "", ""
-        return (
-            verdict_of(report),
-            _partition_str(witness.partition),
-            str(witness.coefficient),
+def _sweep_row(row) -> dict:
+    """One sweep row's fields as the JSON output prints them; CSV, --pretty
+    and --expect read the same fields.  An error row's verdicts read
+    "error"."""
+    fields = {"param": row.param}
+    for key, report in (("e", row.e_report), ("s", row.schur_report)):
+        witness = None if report is None else report.witness
+        # Each report answers one question, so its other verdict is None.
+        fields[f"{key}_verdict"] = (
+            "error" if report is None else report.e_positive or report.schur_positive
         )
-
-    e_fields = verdict_and_witness(row.e_report, lambda r: r.e_positive)
-    s_fields = verdict_and_witness(row.schur_report, lambda r: r.schur_positive)
-    return e_fields + s_fields
+        fields[f"{key}_witness_partition"] = (
+            "" if witness is None else _partition_str(witness.partition)
+        )
+        fields[f"{key}_witness_coeff"] = "" if witness is None else str(witness.coefficient)
+    fields["screeners_failed"] = list(row.failed_screeners)
+    fields["error"] = row.error
+    return fields
 
 
 def _cmd_sweep(args) -> int:
     variable, lower, upper = _parse_range(args.range)
     cap = _cap_or(args, DEFAULT_VERTEX_CAP)
     result = run_sweep(args.family, variable, lower, upper, cap=cap, jobs=args.jobs)
+    rows = [_sweep_row(row) for row in result.rows]
     summary = "positive: " + ",".join(str(p) for p in result.e_positives)
     if args.out == "csv":
         buffer = io.StringIO()
         writer = csv_module.writer(buffer, lineterminator="\n")
-        writer.writerow((
-            "params", "e_verdict", "e_witness_partition", "e_witness_coeff",
-            "s_verdict", "s_witness_partition", "s_witness_coeff", "screeners_failed",
-        ))
-        for row in result.rows:
-            writer.writerow(
-                (row.param,) + _sweep_row_fields(row) + (";".join(row.failed_screeners),)
-            )
+        # CSV has the first eight fields; its header names the first "params".
+        writer.writerow(["params", *list(rows[0])[1:8]])
+        for fields in rows:
+            *cells, screeners = list(fields.values())[:8]
+            writer.writerow([*cells, ";".join(screeners)])
         sys.stdout.write(buffer.getvalue())
         print(summary)
     elif args.pretty:
-        header = ("param", "e", "s", "screeners failed")
-        table = [header]
-        for row in result.rows:
-            fields = _sweep_row_fields(row)
-            table.append((
-                str(row.param), fields[0], fields[3], ";".join(row.failed_screeners)
-            ))
-        widths = [max(len(line[i]) for line in table) for i in range(len(header))]
+        table = [("param", "e", "s", "screeners failed")] + [
+            (str(f["param"]), f["e_verdict"], f["s_verdict"], ";".join(f["screeners_failed"]))
+            for f in rows
+        ]
+        widths = [max(map(len, column)) for column in zip(*table)]
         for line in table:
-            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)))
+            print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)))
         print(summary)
     else:
-        rows = []
-        for row in result.rows:
-            fields = _sweep_row_fields(row)
-            rows.append({
-                "param": row.param,
-                "e_verdict": fields[0],
-                "e_witness_partition": fields[1],
-                "e_witness_coeff": fields[2],
-                "s_verdict": fields[3],
-                "s_witness_partition": fields[4],
-                "s_witness_coeff": fields[5],
-                "screeners_failed": list(row.failed_screeners),
-                "error": row.error,
-            })
         _print_json({
             "family": result.family,
             "variable": result.variable,
@@ -374,13 +354,7 @@ def _cmd_sweep(args) -> int:
     if contradictions:
         return EXIT_INTERNAL
     if args.expect:
-        verdicts = []
-        for row in result.rows:
-            if row.e_report is not None:
-                verdicts.append(row.e_report.e_positive)
-            if row.schur_report is not None:
-                verdicts.append(row.schur_report.schur_positive)
-        return _expect_exit(verdicts)
+        return _expect_exit([f[key] for f in rows for key in ("e_verdict", "s_verdict")])
     return EXIT_OK
 
 

@@ -59,12 +59,12 @@ from .graphs import (
     Graph,
     _adjacency_masks,
     _component_sizes,
-    _double_broom_of,
+    _double_broom_shape,
     _hub_arms,
-    _spider_of,
     connected_components,
     enumerate_stable_partitions,
     is_forest,
+    spider_legs,
 )
 from .partitions import Partition
 from .symfunc import (
@@ -524,15 +524,14 @@ def triple_deletion(G: Graph, u: int, v: int, w: int, S) -> SymFunc:
 
 def _family_recurrence(G: Graph):
     """The closed family recurrence for G as a call with no arguments that
-    returns (degree, packed e-layers), or None when none applies; one
-    ``_hub_arms`` walk answers all three tests."""
-    arms = _hub_arms(G)
-    if arms == ():
+    returns (degree, packed e-layers), or None when none applies; the
+    graph's memoised shape answers all three tests."""
+    if _hub_arms(G) == ():
         return partial(_path_packed, G.n)
-    legs = _spider_of(arms)
+    legs = spider_legs(G)
     if legs is not None and legs.length == 3:
         return partial(_spider_packed, *legs)
-    shape = _double_broom_of(arms)
+    shape = _double_broom_shape(G)
     if shape is not None:
         left, middle, right = shape
         if left == 2 and right == 2 and middle % 2 == 1:

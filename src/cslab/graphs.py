@@ -385,11 +385,7 @@ def spider_legs(G: Graph):
     A spider is a tree with exactly one vertex of degree at least 3; its
     legs are the paths from that center to the leaves.
     """
-    return _spider_of(_hub_arms(G))
-
-
-def _spider_of(arms):
-    """``spider_legs`` of the tree whose ``_hub_arms`` are ``arms``."""
+    arms = _hub_arms(G)
     if arms is None or len(arms) != 1:
         return None
     ((_, walks),) = arms
@@ -400,11 +396,7 @@ def _double_broom_shape(G: Graph):
     """(left, middle, right) if G is a double broom with both leaf bundles
     of size >= 2, else None: a tree with two hubs, one arm between them
     and every other arm a single leaf."""
-    return _double_broom_of(_hub_arms(G))
-
-
-def _double_broom_of(arms):
-    """``_double_broom_shape`` of the tree whose ``_hub_arms`` are ``arms``."""
+    arms = _hub_arms(G)
     if arms is None or len(arms) != 2:
         return None
     (first, left), (hub, right) = arms

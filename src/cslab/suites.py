@@ -215,11 +215,16 @@ def _screener_soundness():
     for family, var, lo, hi in _SOUNDNESS_SWEEPS:
         sweep = run_sweep(family, var, lo, hi)
         for row in sweep.rows:
+            instance = family.replace(var, str(row.param))
+            if row.error is not None:
+                # A screener that rejects a nonnegative expansion ends here.
+                cases += 1
+                failures.append(f"{instance}: {row.error}")
+                continue
             report = row.e_report
-            if report is None or not report.failed_screeners:
+            if not report.failed_screeners:
                 continue
             cases += 1
-            instance = family.replace(var, str(row.param))
             if report.e_positive != NO:
                 failures.append(
                     f"{instance}: screeners {report.failed_screeners} failed but the"

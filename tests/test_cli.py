@@ -393,6 +393,15 @@ class TestPositivityVerb:
         assert code == 0
         assert json.loads(out)["s"]["verdict"] == "yes"
 
+    def test_pretty_output_is_unchanged(self, capsys):
+        code, out, _ = run_cli(["positivity", "--graph", "dbroom:2,3,3", "--pretty"], capsys)
+        assert code == 0
+        assert out == (
+            "e-positive: no  (witness [e_4,2,2,1] = -21)  screeners failed: "
+            "connected-partition-cover\n"
+            "s-positive: no  (witness [s_3,3,3] = -9)\n"
+        )
+
     def test_screener_trace_is_opt_in(self, capsys):
         _, out, _ = run_cli(["positivity", "--graph", "spider:4,4,2"], capsys)
         payload = json.loads(out)
@@ -407,18 +416,70 @@ class TestPositivityVerb:
 class TestSweepVerb:
     def test_csv_has_the_documented_columns_and_summary(self, capsys):
         code, out, _ = run_cli(
-            ["sweep", "--family", "spider:a,2,1", "--range", "a=2..8",
-             "--out", "csv"],
+            ["sweep", "--family", "spider:a,2,1", "--range", "a=2..8", "--out", "csv"], capsys
+        )
+        assert code == 0
+        assert out == (
+            "params,e_verdict,e_witness_partition,e_witness_coeff,"
+            "s_verdict,s_witness_partition,s_witness_coeff,screeners_failed\n"
+            '2,no,"3,3",-3,yes,,,longest-leg-floor;modular-residue-budget;'
+            "pendant-mod3-bounds;even-pair-quadratic;connected-partition-cover\n"
+            "3,yes,,,yes,,,\n"
+            '4,no,"3,3,2",-1,yes,,,pendant-mod3-bounds;even-pair-quadratic\n'
+            '5,no,"3,3,3",-6,yes,,,modular-residue-budget;pendant-mod3-bounds;'
+            "connected-partition-cover\n"
+            "6,yes,,,yes,,,\n"
+            '7,no,"3,3,3,2",-8,yes,,,pendant-mod3-bounds\n'
+            '8,no,"3,3,3,3",-12,yes,,,modular-residue-budget;pendant-mod3-bounds;'
+            "connected-partition-cover\n"
+            "positive: 3,6\n"
+        )
+
+    def test_pretty_output_is_unchanged(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--family", "spider:a,2,1", "--range", "a=2..8", "--pretty"], capsys
+        )
+        assert code == 0
+        screeners = [
+            "screeners failed",
+            "longest-leg-floor;modular-residue-budget;pendant-mod3-bounds;"
+            "even-pair-quadratic;connected-partition-cover",
+            "",
+            "pendant-mod3-bounds;even-pair-quadratic",
+            "modular-residue-budget;pendant-mod3-bounds;connected-partition-cover",
+            "",
+            "pendant-mod3-bounds",
+            "modular-residue-budget;pendant-mod3-bounds;connected-partition-cover",
+        ]
+        verdicts = ["param  e    s  ", "2      no   yes", "3      yes  yes", "4      no   yes",
+                    "5      no   yes", "6      yes  yes", "7      no   yes", "8      no   yes"]
+        # Every line is padded to the widest cell of each column, the last
+        # column included.
+        assert out == "".join(
+            f"{left}  {right.ljust(len(screeners[1]))}\n"
+            for left, right in zip(verdicts, screeners)
+        ) + "positive: 3,6\n"
+
+    def test_pretty_error_rows_read_error_and_expect_skips_them(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--family", "spider:a,2,1", "--range", "a=0..1", "--pretty",
+             "--expect", "positive"],
             capsys,
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == (
-            "params,e_verdict,e_witness_partition,e_witness_coeff,"
-            "s_verdict,s_witness_partition,s_witness_coeff,screeners_failed"
+        assert out == (
+            "param  e      s      screeners failed\n"
+            "0      error  error                  \n"
+            "1      yes    yes                    \n"
+            "positive: 1\n"
         )
-        assert len(lines) == 1 + 7 + 1
-        assert lines[-1] == "positive: 3,6"
+
+    def test_expect_reads_both_verdicts_of_every_row(self, capsys):
+        argv = ["sweep", "--family", "spider:a,2,1", "--range", "a=3..3", "--expect", "positive"]
+        assert run_cli(argv, capsys)[0] == 0
+        # spider:3,2,1 is e-positive; its Schur verdict is out of reach at cap 6.
+        assert run_cli(argv + ["--cap", "6"], capsys)[0] == 3
+        assert run_cli(argv[:4] + ["a=3..4"] + argv[5:], capsys)[0] == 2
 
     def test_json_carries_rows_and_summary(self, capsys):
         code, out, _ = run_cli(

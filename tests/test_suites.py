@@ -27,7 +27,17 @@ class TestVerifySuites:
     def test_screener_soundness_passes(self):
         report = verify_suite("screener-soundness")
         assert report.passed
-        assert report.cases > 0
+        assert report.cases == 98
+
+    def test_screener_soundness_fails_on_a_contradiction_row(self, lying_screener):
+        # The planted screener rejects spider:3,2,1, whose e-expansion is
+        # nonnegative, so its sweep row holds the contradiction as an error.
+        report = verify_suite("screener-soundness")
+        assert not report.passed
+        assert report.cases == 99
+        (failure,) = report.failures
+        assert failure.startswith("spider:3,2,1: ")
+        assert "screener contradicts" in failure
 
     def test_same_seed_gives_the_same_report(self):
         a = verify_suite("route-equivalence", seed=11, count=6)
