@@ -22,14 +22,14 @@ ways, which deliberately share no code path:
   far beyond where full expansions are feasible.  They key their terms by
   the same mixed-radix integers, one digit per part multiplicity with
   radixes sized to the degree (tiers of 64 and 255 vertices), so a product
-  of two terms is one integer addition, over one bottom-up memo of the path
-  series per tier, in layers by the number of parts 1, so that e_1 times
-  a layer is the next layer.  The memo fills both layers of a degree in one
-  pass from the series Q = 1 / (1 - sum_k (k-1) e_k z^k), whose terms are
-  the one-part layer of the next degree.  A key is decoded into its
-  Partition from its own digits: every key when a SymFunc is wanted, only
-  the keys holding the minimum when an e-positivity verdict is.  They stop
-  at 255 vertices.
+  of two terms is one integer addition, over one bottom-up memo of the
+  path series per tier, in layers by the number of parts 1, so that e_1
+  times a layer is the next layer.  The memo fills each key from the key
+  less one largest part, by the closed form of the series
+  Q = 1 / (1 - sum_k (k-1) e_k z^k) (see ``_Tier``).  A key is decoded
+  into its Partition from its own digits: every key when a SymFunc is
+  wanted, only the keys holding the minimum when an e-positivity verdict
+  is.  They stop at 255 vertices.
 
 ``compute_csf`` is the one place that chooses and runs a route, from the
 graph and the target basis, and converts the result to that basis
@@ -49,9 +49,8 @@ the monomial basis.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import repeat
 from math import factorial
-from operator import add, and_, rshift
+from operator import add
 
 from .errors import BadSpec, DegreeMismatch, NotStableTriple, TooLarge
 from .graphs import (
@@ -241,29 +240,28 @@ def _tree_p(G: Graph) -> tuple:
 # partition plus j ones, whose key is j more (B[1] = 1).  A path term has
 # at most one part 1, a spider term two, a broom term three.
 #
-# The path series is E(z) Q(z), with E(z) = sum_{i>=0} e_i z^i and
-# Q(z) = 1 / (1 - sum_{k>=2} (k-1) e_k z^k) (Stanley 1995; Shareshian and
-# Wachs 2016), so X(P_m) = sum_{i>=1} i e_i Q_{m-i} for m >= 1.  The i = 1
-# term is the one-part layer, e_1 Q_{m-1}, and the others are the layer
-# with no part 1, C_m = sum_{k>=2} k e_k Q_{m-k}; Q_m itself sums
-# (k-1) e_k Q_{m-k}.  Q has no part 1, and for m >= 2 Q_m's coefficients
-# are >= 0 and sum to 2^(m-2), the z^m coefficient of (1 - z)^2 / (1 - 2z),
-# so each is below 2^m: the pass adds C_m and Q_m in one integer, C_m above
-# the low m bits, and neither carries into the other.
+# The path series is E(z) Q(z), E = sum_i e_i z^i, Q = 1 / (1 - sum_{k>=2}
+# (k-1) e_k z^k) (Stanley 1995; Shareshian and Wachs 2016), so X(P_m) is
+# e_1 Q_{m-1} + C_m, C_m = sum_{k>=2} k e_k Q_{m-k}, for m >= 1.  At lam of
+# no part 1, a_k parts k and length l, Q(lam) = l! prod (k-1)^a_k / a_k!
+# and C(lam) sums k Q(lam - k) over lam's distinct parts.  With k lam's
+# largest part and mu = lam - k, a_k = mu // B[k] + 1 (k is mu's top digit):
+#   Q(lam) = Q(mu) (l(mu) + 1) (k - 1) / a_k,
+#   C(lam) = ((k - 1) l(mu) C(mu) + k Q(mu)) / a_k, both exact.
 
 
 class _Tier:
     """The place values ``places`` of the keys of degree at most ``size``,
     and the two layers of X(P_m): ``cores[m]`` maps every partition of m
     with no part 1 (all are terms, by Wolfe's formula) to its coefficient
-    C_m, ``ones[m]`` lists layer 1's coefficients in ``cores[m - 1]``'s key
-    order.  Layer 1 of X(P_{m+1}) is e_1 Q_m, so ``ones[m + 1]`` is Q_m,
-    and a memo filled up to n holds ``ones`` up to n + 1.  Filled
-    bottom-up and never handed out: callers copy them."""
+    C_m, and ``ones[m + 1]`` lists Q_m, layer 1 of X(P_{m+1}), in
+    ``cores[m]``'s ascending key order.  The keys with no part above k are
+    a prefix, ``ends[m][k]`` long; ``lengths[m]`` holds the keys' lengths.
+    Never handed out: callers copy."""
 
     def __init__(self, size: int):
         self.size, self.places = size, _places(size)
-        self.cores, self.ones = {0: {0: 1}}, {0: [], 1: [1]}
+        self.cores, self.ones, self.lengths, self.ends = {0: {0: 1}}, {0: [], 1: [1]}, {0: b"\0"}, {0: [1]}
 
 
 _TIERS = tuple(map(_Tier, _TIER_SIZES))
@@ -278,23 +276,27 @@ def _tier(n: int) -> _Tier:
 
 
 def _path_terms(n: int, tier: _Tier) -> tuple[dict, dict]:
-    """``tier.cores`` and ``tier.ones``, filled up to n in a loop so that no
-    call recurses.  Degree m takes one pass over the degrees below it: each
-    term q of Q_{m-k}, times e_k, adds k q to C_m and (k - 1) q to Q_m,
-    both in one integer ``C << m | Q``.  Q_m (``ones[m + 1]``) is
-    stored before C_m, and every degree after all smaller ones, so
-    concurrent fillers compute the same tables."""
-    cores, ones, places = tier.cores, tier.ones, tier.places
+    """``tier.cores`` and ``tier.ones``, filled bottom-up to n in a loop so
+    that no call recurses.  Degree m visits each key once: mu + B[k] for
+    k = 2..m and mu in the prefix of degree m - k with no part above k.
+    ``len(cores)`` marks the degrees filled, so ``cores[m]`` is stored last
+    and degree m after all below it: concurrent fillers store equal tables."""
+    cores, ones, lengths, ends, places = tier.cores, tier.ones, tier.lengths, tier.ends, tier.places
     for m in range(len(cores), n + 1):
-        both: dict = {}
-        get = both.get
+        keys, cs, qs, ls, bounds = [], [], [], bytearray(), [0, 0]
         for k in range(2, m + 1):
-            part, weight = places[k], (k << m) + k - 1
-            for lam, q in zip(cores[m - k], ones[m - k + 1]):
-                key = lam + part
-                both[key] = get(key, 0) + weight * q
-        ones.setdefault(m + 1, list(map(and_, both.values(), repeat((1 << m) - 1))))
-        cores.setdefault(m, dict(zip(both, map(rshift, both.values(), repeat(m)))))
+            j, part, low = m - k, places[k], k - 1
+            for l, (mu, c), q in zip(lengths[j][:ends[j][min(k, j)]], cores[j].items(), ones[j + 1]):
+                a = mu // part + 1
+                keys.append(mu + part)
+                cs.append((low * l * c + k * q) // a)
+                qs.append(q * (l + 1) * low // a)
+                ls.append(l + 1)
+            bounds.append(len(keys))
+        lengths.setdefault(m, bytes(ls))
+        ends.setdefault(m, bounds)
+        ones.setdefault(m + 1, qs)
+        cores.setdefault(m, dict(zip(keys, cs)))
     return cores, ones
 
 
@@ -320,14 +322,12 @@ def path_csf_e(n: int) -> SymFunc:
     X(P_n) = e_n + sum over k in 2..n of (k-1) e_k X(P_{n-k}); the series
     starts 1, e_1, 2 e_2, 3 e_3 + e_{2,1}, ...  Equivalently X(P_n) =
     sum over i in 1..n of i e_i Q_{n-i}, where Q = 1 / (1 - sum over k >= 2
-    of (k-1) e_k z^k); the memo is filled from Q, whose degree-m
-    coefficients are nonnegative and sum to 2^(m-2) for m >= 2.  The series is
-    computed on packed multiplicity keys into one memo per key tier, in
-    layers by the number of parts 1, filled bottom-up in a loop so that no
-    call recurses, one pass per degree; this call decodes the keys of
-    degree n.  The spider and broom recurrences read those memos, never
-    the SymFunc returned here, whose terms are read-only.  Raises TooLarge
-    past 255 vertices, the largest tier.
+    of (k-1) e_k z^k).  It is computed on packed keys into one memo per
+    key tier, in layers by the number of parts 1, each entry from one of a
+    lower degree (37,337 visits up to 40 vertices); this call decodes the
+    keys of degree n.  The spider and broom recurrences read those memos,
+    never the SymFunc returned here, whose terms are read-only.  Raises
+    TooLarge past 255 vertices, the largest tier.
     """
     return _decoded(*_packed_e(*_path_packed(n)))
 

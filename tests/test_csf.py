@@ -10,6 +10,8 @@ route.
 import gc
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 from math import comb, factorial
 
@@ -788,10 +790,81 @@ class TestPackedRecurrences:
                 lower = {i: lam[:lam.index(i)] + lam[lam.index(i) + 1:] for i in set(lam)}
                 assert cores[m][key] == sum(i * q(rest) for i, rest in lower.items()), lam
 
+    @pytest.mark.parametrize("first_tier", [64, 8], ids=["N=64", "N=8,255"])
+    def test_path_memo_matches_the_recurrence_oracle(self, monkeypatch, first_tier):
+        # Both layers of every degree up to 18 against X(P_m) = e_m +
+        # sum_k (k-1) e_k X(P_{m-k}), expanded by the oracle's own products;
+        # a first tier of 8 vertices hands degrees 9-18 to the tier of 255.
+        tiers = (csf_module._Tier(first_tier), csf_module._Tier(255))
+        monkeypatch.setattr(csf_module, "_TIERS", tiers)
+        for m in range(19):
+            tier = csf_module._tier(m)
+            cores, ones = csf_module._path_terms(m, tier)
+            layers: tuple = ({}, {})
+            for lam, c in path_e_terms(m).items():
+                ones_count = lam.count(1)
+                assert ones_count <= 1, lam
+                key = sum(tier.places[part] for part in lam if part > 1)
+                layers[ones_count][key] = c
+            assert cores[m] == layers[0], m
+            assert dict(zip(cores.get(m - 1, ()), ones[m])) == layers[1], m
+
+    def test_fill_in_steps_stores_the_one_shot_tables(self):
+        # Each degree's keys ascend, grouped by largest part: ends[m][k]
+        # counts the keys with no part above k, lengths[m] their lengths.
+        # Filling 7, then 19, then 40 stores what one fill to 40 does.
+        steps, once = csf_module._Tier(64), csf_module._Tier(64)
+        for n in (7, 19, 40):
+            csf_module._path_terms(n, steps)
+        csf_module._path_terms(40, once)
+        for m in range(41):
+            assert list(steps.cores[m].items()) == list(once.cores[m].items()), m
+            assert steps.ones[m + 1] == once.ones[m + 1], m
+            assert (steps.lengths[m], steps.ends[m]) == (once.lengths[m], once.ends[m]), m
+            keys = list(once.cores[m])
+            assert keys == sorted(keys), m
+            lams = [_decode(64, key) for key in keys]
+            assert list(once.lengths[m]) == [lam.length for lam in lams], m
+            assert once.ends[m] == [sum(max(lam, default=0) <= k for lam in lams)
+                                    for k in range(m + 1)], m
+
+    def test_two_threads_fill_one_tier_to_the_same_tables(self):
+        # Both start on one fresh tier; with a short switch interval their
+        # degrees interleave, and each store must leave every table whole.
+        shared, once = csf_module._Tier(64), csf_module._Tier(64)
+        csf_module._path_terms(30, once)
+        start = threading.Barrier(2)
+        errors: list = []
+
+        def fill():
+            try:
+                start.wait(timeout=10)
+                csf_module._path_terms(30, shared)
+            except Exception as exc:  # a thread's exception would only be printed
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for name in ("cores", "ones", "lengths", "ends"):
+            assert getattr(shared, name) == getattr(once, name), name
+        for m in range(31):
+            assert list(shared.cores[m]) == list(once.cores[m]), m
+
     def test_path_layers_take_under_four_fifths_of_flat_dicts(self):
-        # The 40-vertex fill of one tier against the same terms held as one
-        # flat dict per path length, each key and coefficient an int object
-        # of its own (x + 0 is a new int past the cached small ones).
+        # The 40-vertex fill of one tier, with its key lengths and group
+        # ends, against the same terms held as one flat dict per path
+        # length, each key and coefficient an int object of its own (x + 0
+        # is a new int past the cached small ones).
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -810,8 +883,9 @@ class TestPackedRecurrences:
         assert layered < 0.8 * flat_bytes, (layered, flat_bytes)
 
     def test_path_fill_peaks_within_a_megabyte_of_what_it_keeps(self):
-        # The fill packs two sums in one integer per key; the packed dict of
-        # the largest degree is the only thing it holds beyond its tables.
+        # The fill builds each degree's keys and both sums in lists before
+        # storing them; those of the largest degree are the only thing it
+        # holds beyond its tables.
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
