@@ -24,12 +24,15 @@ dominance.  s->m goes term by term through Kostka numbers, since s is not
 multiplicative, and s reaches p through m.  Between those ends every term
 is an integer key, in one format for e, p and m and as a beta-set for s:
 a SymFunc is encoded once on the way in, and a packed result decoded
-once on the way out, or read one key at a time.
+once on the way out, or read one key at a time.  Inside p->s a shape is
+its rank among the shapes of its degree met so far, so the steps add into
+lists by index, and the result is keyed by beta-sets once at the end.
 """
 
 from __future__ import annotations
 
 import json
+from _thread import allocate_lock
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from functools import lru_cache, partial
@@ -364,62 +367,6 @@ def _beads_shape(beads: int) -> Partition:
     return Partition._unchecked(bit + i + 1 - len(bits) for i, bit in enumerate(bits))
 
 
-class _StripTable(dict):
-    """The k-strips of each shape met so far: a beta-set maps to the
-    beta-sets of the shapes that add a border strip of k cells to it, as
-    two tuples, those of sign +1 and those of sign -1, the sign being
-    (-1)^(rows of the strip - 1).  A shape fills its entry on first lookup.
-
-    A k-strip adds at most k rows, so k beads for empty rows go in below
-    first.  Adding the strip moves one bead k places up to a free position;
-    the strip's rows are that bead's row and the rows of the beads it
-    jumps.  The beads of rows left empty, the trailing ones, drop again.
-    """
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: int) -> None:
-        super().__init__()
-        self.k = k
-
-    def __missing__(self, beads: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        k = self.k
-        padded = beads << k | (1 << k) - 1
-        movable = padded & ~padded >> k
-        plus: list = []
-        minus: list = []
-        while movable:
-            low = movable & -movable
-            movable ^= low
-            jumped = (padded & (low << k) - (low << 1)).bit_count()
-            moved = padded ^ low ^ low << k
-            (minus if jumped & 1 else plus).append(moved >> (~moved & moved + 1).bit_length() - 1)
-        entry = self[beads] = (tuple(plus), tuple(minus))
-        return entry
-
-
-# Kept, one table per strip size for the whole process: tree-expand's 21
-# trees, in e and s, read them 23,268 times for 2,285 misses.  The Schur
-# verdict on spider:30,2,1 fills 174,709 entries, 68 MiB under tracemalloc.
-@lru_cache(maxsize=None)
-def _strip_table(k: int) -> _StripTable:
-    """The process-wide table of k-strips."""
-    return _StripTable(k)
-
-
-def _times_strips(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> None:
-    """Add the s-terms, keyed by beta-sets, times p_k into ``out``:
-    p_k s_nu is the signed sum of s_lam over the k-strips lam/nu."""
-    table = _strip_table(k)
-    get = out.get
-    for nu, c in terms.items():
-        plus, minus = table[nu]
-        for lam in plus:
-            out[lam] = get(lam, 0) + c
-        for lam in minus:
-            out[lam] = get(lam, 0) - c
-
-
 def _times_power(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> None:
     """Add the m-terms, keyed in tier ``size``, times p_k into ``out``.
 
@@ -449,28 +396,27 @@ def _times_power(terms: Mapping[int, Coeff], k: int, size: int, out: dict) -> No
 # that term's memoised row instead; only such lone terms are memoised, and
 # small functions consist mostly of them.
 #
-# Only the step differs from one pair of bases to the next: step(terms, k,
-# size, out) adds the target-basis terms times the k-th generator into
-# out.  ``size`` is the tier of the source's keys, and of the target's
-# when they are packed too (e, p and m); the s step ignores it, since a
-# beta-set needs no tier.
+# Only the step differs from one pair of bases to the next.  For e->p, p->e
+# and p->m, step(terms, k, size, out) adds the target-basis terms times the
+# k-th generator into the dict out, and ``size`` is the tier of the keys on
+# both sides.  p->s adds into lists by shape rank instead (see below).
 
 _STEPS = {
     ("p", "e"): partial(_times_packed, _power_in_e),
     ("e", "p"): partial(_times_packed, _elementary_in_p),
-    ("p", "s"): _times_strips,
     ("p", "m"): _times_power,
 }
 
 
-# Kept: tree-expand's 21 trees, in e and s, read it 6,896 times for 94 misses.
+# Kept: tree-expand's 21 trees, in e and s, read it 3,448 times for 47
+# misses, all p->e rows.
 @lru_cache(maxsize=None)
 def _row(pair: tuple[str, str], size: int, key: int) -> tuple[tuple[int, Coeff], ...]:
     """The basis element of ``pair``'s source keyed by ``key`` in tier
     ``size``, in its target: the row of the key without its largest part,
     times that part's generator."""
     if not key:
-        # The constant 1: the empty partition, packed or as a beta-set, is 0.
+        # The constant 1: the empty partition's key is 0.
         return ((0, 1),)
     places = _places(size)
     part = bisect_right(places, key) - 1
@@ -481,7 +427,7 @@ def _row(pair: tuple[str, str], size: int, key: int) -> tuple[tuple[int, Coeff],
 
 def _horner(pair: tuple[str, str], size: int, terms: Mapping[int, Coeff]) -> dict:
     """The terms of ``pair``'s source, keyed in tier ``size``, in its
-    target, keyed as its step keys them."""
+    target, keyed in the same tier."""
     items = sorted(terms.items(), reverse=True)
     step = _STEPS[pair]
     places = _places(size)
@@ -510,6 +456,183 @@ def _horner(pair: tuple[str, str], size: int, terms: Mapping[int, Coeff]) -> dic
         return out
 
     return convert(0, len(items), 0)
+
+
+# -- p->s on shape ranks -------------------------------------------------------
+#
+# p->s is Horner's rule with the Murnaghan-Nakayama rule as its step: p_k
+# s_nu is the signed sum of s_lam over the k-strips lam/nu.  On the way its
+# terms are keyed not by beta-sets but by ranks: a shape gets the next free
+# rank of its degree d when it is first seen, so the ranks of degree d lie
+# below p(d), and a function of degree d in s is a list of p(d)
+# coefficients that a step adds into by index.  The strip tables and the
+# memoised rows hold ranks too, and the finished function is keyed by
+# beta-sets once, in ascending order.  Ranks depend on the order in which
+# shapes were met, so none leaves this section.
+
+
+#: The most shapes a degree may have for p->s: a list of that many
+#: coefficients takes 128 MiB.  p(80) is below it, p(81) above.
+_MAX_SHAPES = 1 << 24
+
+
+class _Shapes:
+    """The shape ranks of p->s and their strip tables.
+
+    ``beads[d]`` lists the beta-sets of degree d met so far, by rank, and
+    ``ranks`` maps each of them to its rank (a beta-set fixes its degree).
+    ``counts[d]`` is p(d), the length of a list of degree d.
+    ``tables[k, d]`` lists, by rank of degree d, the k-strips of that
+    shape: the ranks in degree d + k of the shapes that add a k-strip to
+    it, a tuple of sign +1 and a tuple of sign -1, or None until first read.
+    New ranks and degrees are stored under ``lock``, a rank's beta-set
+    before the rank, so concurrent fillers agree on every rank.
+    """
+
+    def __init__(self) -> None:
+        self.ranks, self.beads, self.counts, self.tables = {0: 0}, [[0]], [1], {}
+        self.lock = allocate_lock()
+
+    def count(self, d: int) -> int:
+        """p(d), storing the degrees up to d first, by Euler's pentagonal
+        recurrence: p(n) = sum over j >= 1 of (-1)^(j - 1) (p(n - g_j) +
+        p(n - g_j - j)), with g_j = j(3j - 1)/2.  Refuses a degree with
+        more than ``_MAX_SHAPES`` shapes, whose lists would not fit."""
+        counts = self.counts
+        if d >= len(counts):
+            with self.lock:
+                for n in range(len(counts), d + 1):
+                    total, j = 0, 1
+                    while (g := j * (3 * j - 1) // 2) <= n:
+                        term = counts[n - g] + (counts[n - g - j] if g + j <= n else 0)
+                        total += term if j & 1 else -term
+                        j += 1
+                    if total > _MAX_SHAPES:
+                        raise TooLarge(f"p->s keeps lists of the {total} shapes of degree {n}; "
+                                       f"the limit is {_MAX_SHAPES}")
+                    self.beads.append([])
+                    counts.append(total)
+        return counts[d]
+
+    def rank(self, beads: int, d: int) -> int:
+        """The rank of a beta-set of degree d, a degree ``count`` has
+        stored: on first sight, the next free rank of that degree."""
+        rank = self.ranks.get(beads)
+        if rank is None:
+            with self.lock:
+                rank = self.ranks.get(beads)
+                if rank is None:
+                    shapes = self.beads[d]
+                    rank = len(shapes)
+                    shapes.append(beads)
+                    self.ranks[beads] = rank
+        return rank
+
+    def table(self, k: int, d: int) -> list:
+        """The table of k-strips on the shapes of degree d."""
+        table = self.tables.get((k, d))
+        if table is None:
+            self.count(d + k)
+            table = self.tables.setdefault((k, d), [None] * self.count(d))
+        return table
+
+
+# Kept, for the whole process: tree-expand's 21 trees, in e and s, rank
+# 915 shapes and read its strip tables 23,209 times for 2,285 misses.  The
+# Schur verdict on spider:36,2,1 ranks 215,308 shapes (23.9 MiB under
+# tracemalloc) and fills 610,313 entries (109 MiB).
+_SHAPES = _Shapes()
+
+
+def _strip_entry(shapes: _Shapes, table: list, k: int, d: int, rank: int) -> tuple:
+    """Fill the entry of ``table``, the k-strips on degree d, for the shape
+    of that rank.
+
+    A k-strip adds at most k rows, so k beads for empty rows go in below
+    first.  Adding the strip moves one bead k places up to a free position;
+    the strip's rows are that bead's row and the rows of the beads it
+    jumps, and its sign is (-1)^(rows - 1).  The beads of rows left empty,
+    the trailing ones, drop again.
+    """
+    padded = shapes.beads[d][rank] << k | (1 << k) - 1
+    movable = padded & ~padded >> k
+    plus: list = []
+    minus: list = []
+    rank_of, up = shapes.rank, d + k
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        jumped = (padded & (low << k) - (low << 1)).bit_count()
+        moved = padded ^ low ^ low << k
+        (minus if jumped & 1 else plus).append(rank_of(moved >> (~moved & moved + 1).bit_length() - 1, up))
+    entry = table[rank] = (tuple(plus), tuple(minus))
+    return entry
+
+
+def _add_strips(shapes: _Shapes, terms: list, k: int, d: int, out: list) -> None:
+    """Add the s-terms of degree d, a list by rank, times p_k into ``out``,
+    a list by rank of degree d + k."""
+    table = shapes.table(k, d)
+    for rank, c in enumerate(terms):
+        if c:
+            plus, minus = table[rank] or _strip_entry(shapes, table, k, d, rank)
+            for lam in plus:
+                out[lam] += c
+            for lam in minus:
+                out[lam] -= c
+
+
+# Kept: tree-expand's 21 trees, in e and s, read it 3,448 times for 47
+# misses.  Unbounded: after the Schur verdict on spider:36,2,1 it holds 80
+# rows, 20.9 MiB under tracemalloc.
+@lru_cache(maxsize=None)
+def _s_row(shapes: _Shapes, size: int, key: int, degree: int) -> tuple[tuple[int, Coeff], ...]:
+    """p_mu in s, for mu of the given degree keyed by ``key`` in tier
+    ``size``: (rank, coefficient) per nonzero term, the row of mu without
+    its largest part times that part's p_k."""
+    if not key:
+        # The constant 1: the empty shape, rank 0 of degree 0.
+        return ((0, 1),)
+    places = _places(size)
+    part = bisect_right(places, key) - 1
+    low = degree - part
+    terms = [0] * shapes.count(low)
+    for rank, c in _s_row(shapes, size, key - places[part], low):
+        terms[rank] = c
+    out = [0] * shapes.count(degree)
+    _add_strips(shapes, terms, part, low, out)
+    # The registry's own rank ints, not enumerate's fresh ones, are kept.
+    beads, ranks = shapes.beads[degree], shapes.ranks
+    return tuple((ranks[beads[rank]], c) for rank, c in enumerate(out) if c)
+
+
+def _p_to_s(terms: Mapping[int, Coeff], size: int, degree: int, shapes: _Shapes = _SHAPES) -> dict:
+    """The p-terms of the given degree, keyed in tier ``size``, in s, keyed
+    by beta-sets in ascending order: ``_horner`` on lists by rank."""
+    items = sorted(terms.items(), reverse=True)
+    places = _places(size)
+
+    def convert(lo: int, hi: int, done: int, d: int) -> list:
+        # As in _horner, for remainders of degree d.
+        out = [0] * shapes.count(d)
+        while lo < hi:
+            key, c = items[lo]
+            part = bisect_right(places, key - done) - 1
+            shared = done + places[part]
+            end = lo + 1
+            while end < hi and items[end][0] >= shared:
+                end += 1
+            if end == lo + 1:
+                for rank, e in _s_row(shapes, size, key - done, d):
+                    out[rank] += c * e
+            else:
+                _add_strips(shapes, convert(lo, end, shared, d - part), part, d - part, out)
+            lo = end
+        return out
+
+    out = convert(0, len(items), 0, degree)
+    beads = shapes.beads[degree]
+    return dict(sorted((beads[rank], c) for rank, c in enumerate(out) if c))
 
 
 def _peel_from_m(terms: Mapping[int, Coeff], size: int) -> dict:
@@ -569,12 +692,21 @@ def _decoded(basis: str, degree: int, layers, size: int) -> SymFunc:
 
 def _packed_min(basis: str, degree: int, layers, size: int) -> tuple[Partition, Coeff]:
     """``_decoded(...).min_coefficient()``, decoding only the keys that hold
-    the smallest nonzero coefficient, so ties break as there."""
+    the smallest nonzero coefficient, so ties break as there.  The minimum
+    is taken per layer at C speed, and only the layers that can hold it
+    are searched, by ``list.count`` and ``list.index``."""
     values = [layer.values() for layer in layers]
-    low = min(map(min, filter(None, values)), default=0) or min(filter(None, chain(*values)), default=0)
+    mins = [min(column, default=0) for column in values]
+    low = min(mins, default=0) or min(filter(None, chain(*values)), default=0)
     decode = partial(_decode, size) if size else _beads_shape
-    return SymFunc(basis, degree, {decode(key + j): c for j, layer in enumerate(layers)
-                                   for key, c in layer.items() if c == low}).min_coefficient()
+    terms: dict = {}
+    for j, layer in enumerate(layers):
+        if low and mins[j] <= low:
+            keys, column, i = list(layer), list(values[j]), -1
+            for _ in range(column.count(low)):
+                i = column.index(low, i + 1)
+                terms[decode(keys[i] + j)] = low
+    return SymFunc(basis, degree, terms).min_coefficient()
 
 
 def _packed_coefficient(basis: str, degree: int, layers, size: int, lam: Partition) -> Coeff:
@@ -607,9 +739,11 @@ def _convert(packed: tuple, target: str) -> tuple:
         terms = {key: _normalize_coeff(c) for key, c in _horner(("e", "p"), size, terms).items()}
     elif basis == "m":
         terms = _peel_from_m(terms, size)
+    if target == "s":
+        return target, degree, (_p_to_s(terms, size, degree),), 0
     if target != "p":
         terms = _horner(("p", target), size, terms)
-    return target, degree, (terms,), 0 if target == "s" else size
+    return target, degree, (terms,), size
 
 
 def change_basis(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:

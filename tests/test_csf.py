@@ -696,6 +696,21 @@ class TestPackedRecurrences:
                 assert csf_module._packed_min(*packed) == expected, spec
         assert "spider:6,2,1" in zero_below_positive
 
+    @pytest.mark.parametrize("coeffs, pinned", [
+        ({(4, 4): -5, (5, 2, 1): -5, (3, 3, 1, 1): -5, (3, 3, 2): 7}, ((3, 3, 1, 1), -5)),
+        ({(4, 4): 0, (5, 2, 1): 2, (3, 3, 1, 1): 2, (2, 2, 2, 2): 3, (2, 2, 2, 1, 1): 0}, ((3, 3, 1, 1), 2)),
+    ], ids=["negative", "zeros-below"])
+    def test_packed_minimum_breaks_a_tie_across_layers(self, coeffs, pinned):
+        # The minimum sits in layers 0, 1 and 2, or in 1 and 2 with zeros
+        # below it in 0 and 2; the reverse-lexicographically smallest
+        # partition wins, from the highest layer.
+        tier = csf_module._tier(8)
+        terms = {sum(tier.places[k] for k in lam): c for lam, c in coeffs.items()}
+        packed = csf_module._packed_e(8, _layered(8, terms))
+        assert len(packed[2]) == 3
+        assert csf_module._packed_min(*packed) == csf_module._decoded(*packed).min_coefficient()
+        assert csf_module._packed_min(*packed) == (Partition(pinned[0]), pinned[1])
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_packed_minimum_of_random_terms(self, data):

@@ -8,9 +8,15 @@ the degree.
 
 import copy
 import json
+import os
 import pickle
+import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,13 +41,15 @@ from cslab import (
     SymFunc,
     TooLarge,
     change_basis,
+    compute_csf,
     enumerate_partitions,
     kostka_number,
     specialize_ones,
 )
 from cslab import symfunc
 from cslab.csf import csf_via_tree_dp
-from cslab.graphs import parse_graph_spec
+from cslab.cli import main
+from cslab.graphs import parse_graph_spec, random_tree
 from cslab.symfunc import (
     BASES,
     _beads_shape,
@@ -178,9 +186,13 @@ class TestChangeBasis:
             change_basis(SymFunc.one("m"), "q")
 
 
+def _lookups(memo) -> int:
+    info = memo.cache_info()
+    return info.hits + info.misses
+
+
 def _kostka_lookups() -> list:
-    tables = (symfunc.kostka_number, symfunc._s_to_m_terms)
-    return [t.cache_info().hits + t.cache_info().misses for t in tables]
+    return [_lookups(symfunc.kostka_number), _lookups(symfunc._s_to_m_terms)]
 
 
 @pytest.fixture
@@ -234,10 +246,14 @@ class TestPowerSumConversions:
         for f in self._small_and_tree():
             for target in ("e", "s"):
                 before = _kostka_lookups()
+                s_rows = _lookups(symfunc._s_row)
                 row_pairs.clear()
                 change_basis(f, target)
                 assert _kostka_lookups() == before
-                assert set(row_pairs) == {("p", target)}
+                # p->s reads only its own rows, by shape rank; p->e only
+                # the p->e rows.
+                assert set(row_pairs) == ({("p", "e")} if target == "e" else set())
+                assert (_lookups(symfunc._s_row) > s_rows) == (target == "s")
 
     def test_m_targets_make_no_kostka_lookups(self, row_pairs):
         small, tree = self._small_and_tree()
@@ -324,29 +340,60 @@ def _standard_tableaux(lam) -> int:
     return factorial(sum(lam)) // hooks
 
 
+def _strips_as_beads(shapes) -> dict:
+    """Every filled strip table entry of ``shapes``, by beta-sets: (k,
+    source) maps to the sorted beta-sets of sign +1 and of sign -1."""
+    out = {}
+    for (k, d), table in shapes.tables.items():
+        up = shapes.beads[d + k]
+        for rank, entry in enumerate(table):
+            if entry is not None:
+                out[k, shapes.beads[d][rank]] = tuple(sorted(up[r] for r in side) for side in entry)
+    return out
+
+
+def _check_registry(shapes) -> None:
+    """Each degree's ranks are 0, 1, ... in order of first sight, each
+    beta-set has one, and no degree holds more shapes than p(d)."""
+    assert len(shapes.counts) == len(shapes.beads)
+    assert sum(map(len, shapes.beads)) == len(shapes.ranks)
+    for d, beads in enumerate(shapes.beads):
+        assert len(beads) <= shapes.counts[d] == sum(1 for _ in enumerate_partitions(d)), d
+        for rank, key in enumerate(beads):
+            assert shapes.ranks[key] == rank and sum(_beads_shape(key)) == d, (d, rank)
+
+
 class TestBorderStrips:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_brute_force(self, k):
-        table = symfunc._strip_table(k)
+        shapes = symfunc._Shapes()
         for size in range(0, 11):
             for nu in enumerate_partitions(size):
                 beads = _beads(nu)
                 assert _beads_shape(beads) == nu
-                plus, minus = table[beads]
-                assert table[beads] is table.get(beads)
+                # One step by p_k from s_nu alone fills nu's entry.
+                terms = [0] * shapes.count(size)
+                terms[shapes.rank(beads, size)] = 1
+                out = [0] * shapes.count(size + k)
+                symfunc._add_strips(shapes, terms, k, size, out)
+                up = shapes.beads[size + k]
+                plus, minus = shapes.table(k, size)[shapes.ranks[beads]]
                 want = brute_border_strips(nu, k)
-                assert sorted(map(_beads_shape, plus)) == sorted(
+                assert {_beads_shape(up[r]): c for r, c in enumerate(out) if c} == want, (nu, k)
+                assert sorted(_beads_shape(up[r]) for r in plus) == sorted(
                     lam for lam, sign in want.items() if sign == 1
                 ), (nu, k)
-                assert sorted(map(_beads_shape, minus)) == sorted(
+                assert sorted(_beads_shape(up[r]) for r in minus) == sorted(
                     lam for lam, sign in want.items() if sign == -1
                 ), (nu, k)
                 assert not set(plus) & set(minus), (nu, k)
-                # Every key is canonical: one bead per row, none for an
-                # empty row below them.
-                for key in plus + minus:
+                # Every beta-set is canonical: one bead per row, none for
+                # an empty row below them.
+                for rank in plus + minus:
+                    key = up[rank]
                     lam = _beads_shape(key)
                     assert not key & 1 and key.bit_count() == len(lam), (nu, k, lam)
+        _check_registry(shapes)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_power_of_ones_counts_standard_tableaux(self, n):
@@ -355,9 +402,9 @@ class TestBorderStrips:
         assert f.terms == {lam: _standard_tableaux(lam) for lam in enumerate_partitions(n)}
 
     def test_rows_are_shared_across_degrees(self):
-        # A beta-set means the same shape at every degree, so one memoised
-        # row serves them all; both orders must agree with the Kostka
-        # table, and with the polynomials where the degree allows.
+        # A row holds ranks of its own degree, so one memoised row serves
+        # every function that reaches it; both orders must agree with the
+        # Kostka table, and with the polynomials where the degree allows.
         functions = [
             SymFunc.single("p", mu, 1) for n in range(0, 9) for mu in enumerate_partitions(n)
         ]
@@ -366,11 +413,111 @@ class TestBorderStrips:
             assert change_basis(g, "m", cap=g.degree) == change_basis(f, "m", cap=f.degree), f
             assert f.degree > 6 or polys_equal(f, g, f.degree), f
         # p_(2,1)'s row is the tail of p_(3,2,1)'s, read at a lower degree.
-        symfunc._row.cache_clear()
+        symfunc._s_row.cache_clear()
         change_basis(SymFunc.single("p", (3, 2, 1)), "s")
-        misses = symfunc._row.cache_info().misses
+        misses = symfunc._s_row.cache_info().misses
         change_basis(SymFunc.single("p", (2, 1)), "s")
-        assert symfunc._row.cache_info().misses == misses
+        assert symfunc._s_row.cache_info().misses == misses
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_a_single_power_is_its_signed_hooks(self, n):
+        # p_n = sum over i < n of (-1)^i s_(n - i, 1^i); at 60 a degree of
+        # 966,467 shapes, of which the answer holds 60.
+        f = change_basis(SymFunc.single("p", (n,)), "s", cap=n)
+        assert f.terms == {Partition((n - i,) + (1,) * i): (-1) ** i for i in range(n)}
+
+    def test_refuses_a_degree_past_the_shape_limit(self):
+        # p(81) = 18,004,327 shapes exceed the limit of 2^24; the refusal
+        # comes before any list of them is made.
+        with pytest.raises(TooLarge, match="18004327 shapes of degree 81"):
+            change_basis(SymFunc.single("p", (81,)), "s", cap=81)
+        assert len(symfunc._SHAPES.counts) <= 81
+
+    def test_two_threads_fill_one_registry_to_the_same_ranks(self):
+        # Both convert every function on one fresh registry, in opposite
+        # orders; with a short switch interval their first sights
+        # interleave.  Each must get the answers of the process-wide
+        # registry, and the registry must stay whole.
+        rng, places = random.Random(33), _places(64)
+        functions = [
+            (n, {sum(places[k] for k in mu): rng.randint(-3, 3) for mu in enumerate_partitions(n)})
+            for n in range(13)
+        ]
+        want = [symfunc._p_to_s(terms, 64, n) for n, terms in functions]
+        shared = symfunc._Shapes()
+        start = threading.Barrier(2)
+        results: dict = {}
+        errors: list = []
+
+        def fill(order):
+            try:
+                start.wait(timeout=10)
+                results[order] = [symfunc._p_to_s(functions[i][1], 64, functions[i][0], shared)
+                                  for i in order]
+            except Exception as exc:  # a thread's exception would only be printed
+                errors.append(exc)
+
+        orders = (tuple(range(13)), tuple(range(12, -1, -1)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(order,)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for order in orders:
+            assert [list(out.items()) for out in results[order]] == [
+                list(want[i].items()) for i in order]
+        _check_registry(shared)
+        once = symfunc._Shapes()
+        for n, terms in functions:
+            symfunc._p_to_s(terms, 64, n, once)
+        assert _strips_as_beads(shared) == _strips_as_beads(once)
+
+
+# The p->s answers of a fresh process: packed s terms, in order, and the
+# stdout of ``cslab csf --basis s``, for each spec on the command line.
+_FRESH_S = """
+import contextlib, io, json, sys
+from cslab import compute_csf, parse_graph_spec
+from cslab.cli import main
+out = []
+for spec in sys.argv[1:]:
+    layers = compute_csf(parse_graph_spec(spec), basis="s")._packed[2]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        main(["csf", "--graph", spec, "--basis", "s"])
+    out.append([[[[key, str(c)] for key, c in layer.items()] for layer in layers], text.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_first_sight_ranks_reach_no_answer(capsys):
+    # Random trees of 10 to 16 vertices in ascending and then descending
+    # order in this process, whose ranks have seen other tests, against a
+    # fresh process that meets them in descending order only.
+    rng = random.Random(2112)
+    specs = []
+    for n in range(10, 17):
+        G = random_tree(n, rng)
+        specs.append(f"edges:{n}:" + ",".join(f"{a}-{b}" for a, b in sorted(G.edges)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_S, *specs[::-1]], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True,
+    )
+    fresh = dict(zip(specs[::-1], json.loads(done.stdout)))
+    for spec in specs + specs[::-1]:
+        layers = compute_csf(parse_graph_spec(spec), basis="s")._packed[2]
+        assert [[[key, str(c)] for key, c in layer.items()] for layer in layers] == fresh[spec][0], spec
+        capsys.readouterr()
+        assert main(["csf", "--graph", spec, "--basis", "s"]) == 0
+        assert capsys.readouterr().out == fresh[spec][1], spec
 
 
 def test_peel_into_p_refuses_a_row_without_its_diagonal(rows_without_diagonal):
