@@ -87,7 +87,8 @@ class CsfResult:
     """A computed CSF as packed terms (basis, degree, integer-keyed layers
     and their key tier; see ``symfunc._decoded``), with the route that
     produced it.  ``value`` decodes every key, ``min_coefficient`` only
-    the keys that hold the minimum, and ``coefficient`` none.
+    the keys that hold the minimum, and ``coefficient`` and ``_term_count``
+    none.
     """
 
     def __init__(self, graph: Graph, route: str, packed: tuple):
@@ -108,6 +109,10 @@ class CsfResult:
     def coefficient(self, lam) -> Coeff:
         """``value.coefficient(lam)``, without building ``value``."""
         return _packed_coefficient(*self._packed, lam if isinstance(lam, Partition) else Partition(lam))
+
+    def _term_count(self) -> int:
+        """``len(value.terms)``, without building ``value``."""
+        return sum(1 for layer in self._packed[2] for c in layer.values() if c)
 
 
 # -- base routes --------------------------------------------------------------

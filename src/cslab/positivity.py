@@ -43,6 +43,7 @@ from .partitions import (
     sort_to_partition,
 )
 from .rimhook import schur_coefficient
+from .symfunc import _SHAPES
 
 YES = "yes"
 NO = "no"
@@ -252,20 +253,22 @@ def _connected_cover_trace(G: Graph):
     """An e-positive connected graph has a connected partition of every
     type (Wolfgang); name the first type missing.  A tree reads its types
     from its tree-p terms, where distinct edge subsets are distinct
-    connected partitions and none cancel; other graphs are searched.
-    Returns None when out of reach."""
+    connected partitions and none cancel, so it realizes every type when
+    it has p(n) terms, and only otherwise looks the types up in order;
+    other graphs are searched.  Returns None when out of reach."""
     if G.n > DEFAULT_VERTEX_CAP:
         return None
     if len(connected_components(G)) > 1:
         return ("connected-partition-cover", True, "not applicable: the graph is disconnected")
     tree = compute_csf(G, basis="p") if G.edge_count == G.n - 1 else None
-    for lam in enumerate_partitions(G.n):
-        if not (tree.coefficient(lam) if tree else has_connected_partition(G, lam)):
-            return (
-                "connected-partition-cover",
-                False,
-                f"no connected partition of type {tuple(lam)}",
-            )
+    if not tree or tree._term_count() < _SHAPES.count(G.n):
+        for lam in enumerate_partitions(G.n):
+            if not (tree.coefficient(lam) if tree else has_connected_partition(G, lam)):
+                return (
+                    "connected-partition-cover",
+                    False,
+                    f"no connected partition of type {tuple(lam)}",
+                )
     return ("connected-partition-cover", True, "every partition type is realized connectedly")
 
 

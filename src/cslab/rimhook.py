@@ -138,7 +138,12 @@ def schur_coefficient(G: Graph, lam):
     12 vertices each count is the m-coefficient of the graph's stable-m
     expansion (a_lam times the multiplicity factorial), computed once per
     graph by ``compute_csf``; beyond that each content type is counted on
-    demand, which keeps long thin trees reachable.
+    demand by ``count_stable_partitions``, which keeps long thin trees
+    reachable.  The contents of the broom shapes (p+1, p+1, 1) and
+    (p+3, p+1, 1) have the types (s1), (s1, s2) or (s1, s2, 1), which a
+    forest counts from its 2-colouring without backtracking: about 0.2 ms
+    per coefficient on 29-vertex spiders and double brooms, against
+    1.5-1.8 ms by backtracking.  Other contents and graphs backtrack.
     """
     lam = Partition(lam)
     if lam.n != G.n:

@@ -411,6 +411,71 @@ class TestStablePartitions:
             gc.enable()
 
 
+def _random_forest(n: int, keep: float, rng: random.Random) -> Graph:
+    """A random tree on n vertices that keeps each edge with probability
+    ``keep``, relabelled at random: several components, some of them
+    isolated vertices, when ``keep`` is low."""
+    tree = random_tree(n, rng)
+    return _relabelled(Graph(n, frozenset(e for e in tree.edges if rng.random() < keep)), rng)
+
+
+def _forest_rule_types(n: int) -> list:
+    """The types a forest counts from its 2-colouring: (s1), (s1, s2) and
+    (s1, s2, 1)."""
+    return [lam for lam in enumerate_partitions(n)
+            if lam.length <= 2 or lam.length == 3 and lam[2] == 1]
+
+
+def _backtracked(G: Graph, lam: Partition) -> int:
+    """The ordered count of ``_assign`` alone, called directly."""
+    order = cslab.graphs._shape(G)[2]
+    masks = cslab.graphs._adjacency_masks(G)
+    return cslab.graphs._assign(0, G.n, order, masks, list(lam), [0] * lam.length, range(lam.length))
+
+
+class TestForestRule:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from((0.3, 0.7, 1.0)), st.integers(0, 10**6))
+    def test_matches_brute_set_partitions(self, n, keep, seed):
+        G = _random_forest(n, keep, random.Random(seed))
+        brute = brute_stable_type_counts(G)
+        for lam in _forest_rule_types(n):
+            assert count_stable_partitions(G, lam).count == brute.get(lam, 0), (G, lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 16), st.sampled_from((0.3, 0.7, 1.0)), st.integers(0, 10**6))
+    def test_matches_the_backtracking(self, n, keep, seed):
+        G = _random_forest(n, keep, random.Random(seed))
+        for lam in _forest_rule_types(n):
+            assert cslab.graphs._ordered_stable_count(G, lam) == _backtracked(G, lam), (G, lam)
+
+    def test_empty_graph_counts_one_empty_partition(self):
+        record = count_stable_partitions(Graph(0), ())
+        assert (record.count, record.semi_ordered_count) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "spec, type_",
+        [("cycle:6", (3, 3)), ("cycle:7", (3, 3, 1)), ("edges:5:0-1,1-2,0-2,3-4", (2, 2, 1)),
+         ("spider:3,2,1", (3, 2, 2)), ("path:8", (3, 3, 2)), ("edges:7:0-1,2-3,3-4", (2, 2, 2, 1))],
+    )
+    def test_other_graphs_and_types_backtrack(self, spec, type_, monkeypatch):
+        G, lam = parse_graph_spec(spec), Partition(type_)
+        calls = []
+        assign = cslab.graphs._assign
+        monkeypatch.setattr(cslab.graphs, "_assign", lambda *args: calls.append(1) or assign(*args))
+        record = count_stable_partitions(G, lam)
+        assert calls
+        assert record.semi_ordered_count == _backtracked(G, lam)
+        assert record.count == brute_stable_type_counts(G).get(lam, 0)
+
+    def test_forest_types_do_not_backtrack(self, monkeypatch):
+        G = parse_graph_spec("edges:9:0-1,1-2,2-3,5-6,6-7")
+        brute = brute_stable_type_counts(G)
+        monkeypatch.setattr(cslab.graphs, "_assign", None)
+        for lam in _forest_rule_types(G.n):
+            assert count_stable_partitions(G, lam).count == brute.get(lam, 0), lam
+
+
 class TestConnectedPartitions:
     def test_path_has_all_types(self):
         G = build_family("path", 7)

@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -363,6 +364,30 @@ def _check_registry(shapes) -> None:
             assert shapes.ranks[key] == rank and sum(_beads_shape(key)) == d, (d, rank)
 
 
+class _YieldingRanks(dict):
+    """A rank map that lets another thread run after each lookup, so a
+    filler loses its turn between finding a beta-set unranked and ranking
+    it."""
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        time.sleep(0)
+        return found
+
+
+class _YieldingCounts(list):
+    """A list of p(d) that lets the other threads run after each length
+    read, so a filler loses its turn between finding a degree missing and
+    storing it.  It takes four switches, not one, for all four fillers to
+    read before any of them stores."""
+
+    def __len__(self):
+        length = super().__len__()
+        for _ in range(4):
+            time.sleep(0)
+        return length
+
+
 class TestBorderStrips:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_brute_force(self, k):
@@ -434,10 +459,13 @@ class TestBorderStrips:
         assert len(symfunc._SHAPES.counts) <= 81
 
     def test_two_threads_fill_one_registry_to_the_same_ranks(self):
-        # Both convert every function on one fresh registry, in opposite
-        # orders; with a short switch interval their first sights
-        # interleave.  Each must get the answers of the process-wide
-        # registry, and the registry must stay whole.
+        # Two threads convert every function on one fresh registry in the
+        # same order and two in the opposite order.  A switch after every
+        # rank lookup and every read of the degrees stored makes the
+        # fillers of one order meet each beta-set and degree together, so
+        # without the registry's lock both would store it.
+        # Each must get the answers of the process-wide registry, and the
+        # registry must stay whole.
         rng, places = random.Random(33), _places(64)
         functions = [
             (n, {sum(places[k] for k in mu): rng.randint(-3, 3) for mu in enumerate_partitions(n)})
@@ -445,23 +473,25 @@ class TestBorderStrips:
         ]
         want = [symfunc._p_to_s(terms, 64, n) for n, terms in functions]
         shared = symfunc._Shapes()
-        start = threading.Barrier(2)
+        shared.ranks = _YieldingRanks(shared.ranks)
+        shared.counts = _YieldingCounts(shared.counts)
+        orders = (tuple(range(13)), tuple(range(12, -1, -1))) * 2
+        start = threading.Barrier(len(orders))
         results: dict = {}
         errors: list = []
 
-        def fill(order):
+        def fill(thread, order):
             try:
                 start.wait(timeout=10)
-                results[order] = [symfunc._p_to_s(functions[i][1], 64, functions[i][0], shared)
-                                  for i in order]
+                results[thread] = [symfunc._p_to_s(functions[i][1], 64, functions[i][0], shared)
+                                   for i in order]
             except Exception as exc:  # a thread's exception would only be printed
                 errors.append(exc)
 
-        orders = (tuple(range(13)), tuple(range(12, -1, -1)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=fill, args=(order,)) for order in orders]
+            threads = [threading.Thread(target=fill, args=pair) for pair in enumerate(orders)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -470,8 +500,8 @@ class TestBorderStrips:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        for order in orders:
-            assert [list(out.items()) for out in results[order]] == [
+        for thread, order in enumerate(orders):
+            assert [list(out.items()) for out in results[thread]] == [
                 list(want[i].items()) for i in order]
         _check_registry(shared)
         once = symfunc._Shapes()
